@@ -746,13 +746,7 @@ impl Db {
     /// are the ones a sharded engine can gather by merging partial
     /// accumulator states; everything else concatenates rows.
     pub fn select_is_aggregate(&self, stmt: &crate::ast::SelectStmt) -> bool {
-        let registry = self.registry();
-        let is_agg = |n: &str| crate::expr::AggKind::is_aggregate_name(n, &registry);
-        !stmt.group_by.is_empty()
-            || stmt
-                .projections
-                .iter()
-                .any(|p| p.expr.contains_aggregate(&is_agg))
+        crate::exec::is_aggregate_select(stmt, &self.registry())
     }
 
     /// Runs phases 1–3 of an aggregate SELECT (scan or summary lookup,
@@ -830,13 +824,8 @@ impl Db {
         let _gate = ws.gate.write().expect("wal gate");
         let horizon = ws.wal.next_eid();
         let tmp = ws.dir.join("checkpoint.tmp");
-        let cur = ws.dir.join("checkpoint");
-        let old = ws.dir.join("checkpoint.old");
-        let ioerr = |what: &str, e: std::io::Error| {
-            EngineError::Storage(StorageError::Io(format!("checkpoint {what}: {e}")))
-        };
         let _ = std::fs::remove_dir_all(&tmp);
-        std::fs::create_dir_all(&tmp).map_err(|e| ioerr("mkdir", e))?;
+        std::fs::create_dir_all(&tmp).map_err(|e| checkpoint_io("mkdir", e))?;
         let mut tables = Vec::new();
         for (name, entry) in self.catalog.entries() {
             if let CatalogEntry::Table(t) = entry {
@@ -857,17 +846,7 @@ impl Db {
             tables,
             ddl,
         };
-        let mpath = tmp.join("MANIFEST");
-        std::fs::write(&mpath, manifest.encode()).map_err(|e| ioerr("manifest write", e))?;
-        std::fs::File::open(&mpath)
-            .and_then(|f| f.sync_all())
-            .map_err(|e| ioerr("manifest sync", e))?;
-        if cur.exists() {
-            let _ = std::fs::remove_dir_all(&old);
-            std::fs::rename(&cur, &old).map_err(|e| ioerr("rotate", e))?;
-        }
-        std::fs::rename(&tmp, &cur).map_err(|e| ioerr("publish", e))?;
-        let _ = std::fs::remove_dir_all(&old);
+        publish_checkpoint(&ws.dir, &manifest)?;
         ws.wal.reset()?;
         Ok(true)
     }
@@ -1083,6 +1062,10 @@ impl Db {
 
     // -----------------------------------------------------------------
     // Model tables (§3.5: models are stored in the DBMS as tables)
+    //
+    // Republishing a model swaps the table in one catalog write, so a
+    // concurrent scoring query sees the old model or the new one,
+    // never a missing table.
     // -----------------------------------------------------------------
 
     /// Stores a regression model as the one-row table
@@ -1097,8 +1080,8 @@ impl Db {
         let mut row: Row = vec![Value::Float(intercept)];
         row.extend(beta.as_slice().iter().map(|&v| Value::Float(v)));
         table.insert(row)?;
-        self.drop_if_exists(name);
-        self.register_table(name, table)
+        self.register_or_replace_table(name, table);
+        Ok(())
     }
 
     /// Stores a d × k loading matrix as `name(j, X1..Xd)` with one row
@@ -1115,8 +1098,8 @@ impl Db {
             row.extend((0..d).map(|a| Value::Float(lambda[(a, j)])));
             table.insert(row)?;
         }
-        self.drop_if_exists(name);
-        self.register_table(name, table)
+        self.register_or_replace_table(name, table);
+        Ok(())
     }
 
     /// Stores a mean vector as the one-row table `name(X1..Xd)`.
@@ -1126,8 +1109,8 @@ impl Db {
             .collect();
         let mut table = Table::new(Schema::new(columns), 1);
         table.insert(mu.as_slice().iter().map(|&v| Value::Float(v)).collect())?;
-        self.drop_if_exists(name);
-        self.register_table(name, table)
+        self.register_or_replace_table(name, table);
+        Ok(())
     }
 
     /// Scores a batch of primary keys against a registered model table
@@ -1158,8 +1141,8 @@ impl Db {
             row.extend(c.as_slice().iter().map(|&v| Value::Float(v)));
             table.insert(row)?;
         }
-        self.drop_if_exists(name);
-        self.register_table(name, table)
+        self.register_or_replace_table(name, table);
+        Ok(())
     }
 }
 
@@ -1172,6 +1155,48 @@ pub fn statement_is_logged(stmt: &Statement) -> bool {
         stmt,
         Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)
     )
+}
+
+fn checkpoint_io(what: &str, e: std::io::Error) -> EngineError {
+    EngineError::Storage(StorageError::Io(format!("checkpoint {what}: {e}")))
+}
+
+/// Publishes the snapshot assembled in `dir/checkpoint.tmp`: writes
+/// its MANIFEST, syncs every file and directory under it, rotates the
+/// previous snapshot to `checkpoint.old`, renames the new one into
+/// place, and syncs `dir` so the renames are durable too. Callers
+/// truncate their WAL only after this returns, so the log is never
+/// reset ahead of a snapshot that could still vanish in a crash.
+/// Public so the sharded engine publishes its multi-shard snapshot
+/// the same way.
+pub fn publish_checkpoint(dir: &Path, manifest: &CheckpointManifest) -> Result<()> {
+    let tmp = dir.join("checkpoint.tmp");
+    let cur = dir.join("checkpoint");
+    let old = dir.join("checkpoint.old");
+    std::fs::write(tmp.join("MANIFEST"), manifest.encode())
+        .map_err(|e| checkpoint_io("manifest write", e))?;
+    sync_tree(&tmp).map_err(|e| checkpoint_io("snapshot sync", e))?;
+    if cur.exists() {
+        let _ = std::fs::remove_dir_all(&old);
+        std::fs::rename(&cur, &old).map_err(|e| checkpoint_io("rotate", e))?;
+    }
+    std::fs::rename(&tmp, &cur).map_err(|e| checkpoint_io("publish", e))?;
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| checkpoint_io("directory sync", e))?;
+    let _ = std::fs::remove_dir_all(&old);
+    Ok(())
+}
+
+/// fsyncs a file, or a directory after everything beneath it (a
+/// directory's sync is what makes its entries durable).
+fn sync_tree(path: &Path) -> std::io::Result<()> {
+    if path.is_dir() {
+        for entry in std::fs::read_dir(path)? {
+            sync_tree(&entry?.path())?;
+        }
+    }
+    std::fs::File::open(path)?.sync_all()
 }
 
 /// Finds the newest complete checkpoint under `dir`: `checkpoint/` if

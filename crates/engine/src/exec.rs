@@ -11,7 +11,7 @@ use nlq_storage::{
     Column, ColumnBlock, DataType, Row, Schema, Table, Value, BLOCK_ROWS,
 };
 use nlq_summary::{
-    project_nlq, shape_covers, SummaryData, SummaryDef, SummarySnapshot, SummaryStore,
+    project_nlq, shape_covers, SummaryData, SummaryDef, SummaryEntry, SummarySnapshot, SummaryStore,
 };
 use nlq_udf::{check_heap, AggregateState, BatchArg, ScalarBatchArg, ScalarUdf, UdfRegistry};
 
@@ -83,16 +83,113 @@ fn merge_partial_errors<T>(partials: Vec<Result<T>>) -> Result<Vec<T>> {
     }
 }
 
-/// The outcome of planning a SELECT: everything both the executor and
-/// EXPLAIN need.
+/// The one physical plan for a SELECT: the statement bound against its
+/// FROM schema plus the access path chosen for it. The executor runs
+/// this value and EXPLAIN renders it, so the two cannot disagree.
 pub(crate) struct PlannedSelect {
     base: Arc<Table>,
-    schema: BoundSchema,
     join_product: Vec<Row>,
     residual: Vec<BoundExpr>,
     /// Number of WHERE conjuncts pushed into the join product.
     pushed: usize,
-    aggregate_mode: bool,
+    bound: BoundSelect,
+    path: AccessPath,
+    /// Summaries exist on the table but none can answer this
+    /// statement: counted as a summary miss when it runs.
+    summary_miss: bool,
+}
+
+/// A SELECT bound in the mode it runs in.
+enum BoundSelect {
+    Aggregate(AggBindings),
+    Scalar(ScalarBindings),
+}
+
+/// How a planned SELECT reaches its data.
+enum AccessPath {
+    /// Answer from a materialized Γ summary. `fresh` is the snapshot
+    /// taken at plan time when the summary was fresh (it has already
+    /// passed the null gate). A stale summary is rebuilt only when the
+    /// statement runs — planning has no side effects — and is gated
+    /// then; `fallback` is the scan that runs when it cannot answer.
+    Summary {
+        entry: Arc<SummaryEntry>,
+        recipes: Vec<SummaryRecipe>,
+        fresh: Option<SummarySnapshot>,
+        fallback: Box<AccessPath>,
+    },
+    /// Block-at-a-time aggregate scan.
+    Block(BlockPlan),
+    /// Block-at-a-time scalar projection (the scoring queries).
+    ScalarBlock(ScalarBlockPlan),
+    /// The general row loop, and why no faster path applies.
+    Row { reason: String },
+}
+
+impl AccessPath {
+    /// The text of EXPLAIN's `scan mode:` line.
+    fn describe(&self) -> String {
+        match self {
+            AccessPath::Summary {
+                entry,
+                fresh: Some(_),
+                ..
+            } => format!("summary ({}, fresh)", entry.def().name),
+            AccessPath::Summary {
+                entry,
+                fresh: None,
+                fallback,
+                ..
+            } => format!(
+                "summary ({}, stale; rebuilt on execute); fallback: {}",
+                entry.def().name,
+                fallback.describe()
+            ),
+            AccessPath::Block(bp) => block_mode(bp.cols.len(), bp.predicate.as_ref(), "float"),
+            AccessPath::ScalarBlock(bp) => {
+                block_mode(bp.cols.len(), bp.predicate.as_ref(), "numeric")
+            }
+            AccessPath::Row { reason } => format!("row-at-a-time ({reason})"),
+        }
+    }
+}
+
+/// The block-path `scan mode:` text; `unfiltered` names the kind of
+/// column an unfiltered scan decodes.
+fn block_mode(cols: usize, predicate: Option<&CompiledPredicates>, unfiltered: &str) -> String {
+    match predicate {
+        None => {
+            format!("block ({BLOCK_ROWS}-row column blocks over {cols} {unfiltered} column(s))")
+        }
+        Some(p) => format!(
+            "block ({BLOCK_ROWS}-row column blocks over {cols} numeric column(s); \
+             {} predicate(s) as selection bitmap)",
+            p.len()
+        ),
+    }
+}
+
+impl PlannedSelect {
+    /// The aggregate bindings the partial-execution protocol ships.
+    fn aggregate(&self) -> Result<&AggBindings> {
+        match &self.bound {
+            BoundSelect::Aggregate(b) => Ok(b),
+            BoundSelect::Scalar(_) => Err(EngineError::Unsupported(
+                "partial execution requires an aggregate SELECT".into(),
+            )),
+        }
+    }
+}
+
+/// Whether a SELECT runs in aggregate mode: GROUP BY present, or any
+/// projection contains an aggregate call.
+pub(crate) fn is_aggregate_select(stmt: &SelectStmt, registry: &UdfRegistry) -> bool {
+    let is_agg_name = |n: &str| AggKind::is_aggregate_name(n, registry);
+    !stmt.group_by.is_empty()
+        || stmt
+            .projections
+            .iter()
+            .any(|p| p.expr.contains_aggregate(&is_agg_name))
 }
 
 impl ExecContext<'_> {
@@ -101,29 +198,21 @@ impl ExecContext<'_> {
         let plan_started = Instant::now();
         let plan = self.plan_select(stmt)?;
         let plan_nanos = plan_started.elapsed().as_nanos() as u64;
-        let mut rs = if plan.aggregate_mode {
-            self.execute_aggregate(
-                stmt,
-                &plan.base,
-                &plan.schema,
-                &plan.join_product,
-                &plan.residual,
-            )?
-        } else {
-            self.execute_scalar(
-                stmt,
-                &plan.base,
-                &plan.schema,
-                &plan.join_product,
-                &plan.residual,
-            )?
+        let mut rs = match &plan.bound {
+            BoundSelect::Aggregate(b) => {
+                let mut stats = ExecStats::default();
+                let merged = self.aggregate_partials(&plan, b, &mut stats)?;
+                finalize_merged(stmt, b, merged, stats)?
+            }
+            BoundSelect::Scalar(s) => self.execute_scalar(stmt, &plan, s)?,
         };
         rs.stats.plan_nanos = plan_nanos;
         Ok(rs)
     }
 
     /// Plans a SELECT: resolves tables, binds and classifies WHERE
-    /// conjuncts, and materializes the (filtered) join product.
+    /// conjuncts, materializes the (filtered) join product, binds the
+    /// statement, and chooses its access path.
     fn plan_select(&self, stmt: &SelectStmt) -> Result<PlannedSelect> {
         // Resolve FROM: first table streams, the rest are materialized
         // and cross-joined.
@@ -217,25 +306,107 @@ impl ExecContext<'_> {
             "all join-only predicates applied"
         );
 
-        let is_agg_name = |n: &str| AggKind::is_aggregate_name(n, &self.registry);
-        let aggregate_mode = !stmt.group_by.is_empty()
-            || stmt
-                .projections
-                .iter()
-                .any(|p| p.expr.contains_aggregate(&is_agg_name));
+        // Choose the access path, fastest eligible first. A failed
+        // eligibility test carries the reason the row loop runs.
+        let trivial_join = join_product.len() == 1 && join_product[0].is_empty();
+        let (bound, path, summary_miss) = if is_aggregate_select(stmt, &self.registry) {
+            let b = self.bind_aggregate(stmt, &schema)?;
+            // Global aggregates over numeric base-table columns scan
+            // fixed-size column blocks; compilable residual predicates
+            // become per-block selection bitmaps.
+            let block = if !self.block_scan {
+                Err("block scan disabled".to_owned())
+            } else if !stmt.group_by.is_empty() {
+                Err("GROUP BY requires row grouping".to_owned())
+            } else if !trivial_join {
+                Err("cross join".to_owned())
+            } else {
+                plan_block_calls(&schema, base_width, &b.agg_calls, &b.fast_args, &residual)
+                    .map(AccessPath::Block)
+            };
+            let scan = block.unwrap_or_else(|reason| AccessPath::Row { reason });
+            // Planner rewrite: answer the whole statement from a
+            // materialized Γ summary when one structurally matches.
+            let (path, miss) = if stmt.from.len() == 1 && trivial_join && residual.is_empty() {
+                self.plan_summary(&stmt.from[0].name, &schema, &b, scan)
+            } else {
+                (scan, false)
+            };
+            (BoundSelect::Aggregate(b), path, miss)
+        } else {
+            let s = self.bind_scalar(stmt, &schema)?;
+            // Scoring-style projections (scalar UDFs over numeric base
+            // columns plus model-table constants from a single join
+            // combination) decode column blocks instead of rows.
+            let block = if !self.block_scan {
+                Err("block scan disabled".to_owned())
+            } else if !stmt.order_by.is_empty() {
+                Err("ORDER BY requires row materialization".to_owned())
+            } else {
+                plan_scalar_block(&schema, &base, &join_product, &s.proj, &residual)
+                    .map(AccessPath::ScalarBlock)
+            };
+            let path = block.unwrap_or_else(|reason| AccessPath::Row { reason });
+            (BoundSelect::Scalar(s), path, false)
+        };
 
         Ok(PlannedSelect {
             base,
-            schema,
             join_product,
             residual,
             pushed: join_only.len(),
-            aggregate_mode,
+            bound,
+            path,
+            summary_miss,
         })
     }
 
-    /// Describes the plan for a SELECT without executing its scan —
-    /// the `EXPLAIN` statement.
+    /// The summary rewrite, decided without side effects: the first
+    /// summary on `table` whose Γ structurally answers every aggregate
+    /// call, wrapping `scan` as its fallback. A fresh summary must pass
+    /// the null gate now; a stale one can only be gated after the
+    /// rebuild that execution performs. Also returns whether summaries
+    /// exist but none fits (a summary miss).
+    fn plan_summary(
+        &self,
+        table: &str,
+        schema: &BoundSchema,
+        b: &AggBindings,
+        scan: AccessPath,
+    ) -> (AccessPath, bool) {
+        let candidates = self.summaries.for_table(table);
+        if candidates.is_empty() || b.agg_calls.is_empty() {
+            return (scan, false);
+        }
+        // The only group shape a keyed summary stores: one plain
+        // column reference.
+        let want_group = match b.group_bound.as_slice() {
+            [] => None,
+            [BoundExpr::ColumnRef(i)] => Some(schema.column_name(*i)),
+            _ => return (scan, true),
+        };
+        for entry in candidates {
+            let Some(recipes) = plan_summary_recipes(entry.def(), schema, &b.agg_calls, want_group)
+            else {
+                continue;
+            };
+            let snap = entry.snapshot();
+            if snap.fresh && !null_gate(entry.def(), &recipes, snap.null_rows_skipped) {
+                continue;
+            }
+            let path = AccessPath::Summary {
+                entry,
+                recipes,
+                fresh: snap.fresh.then_some(snap),
+                fallback: Box::new(scan),
+            };
+            return (path, false);
+        }
+        (scan, true)
+    }
+
+    /// Renders the plan [`Self::execute_select`] runs, without running
+    /// its scan — the `EXPLAIN` statement.
     pub fn explain_select(&self, stmt: &SelectStmt) -> Result<Vec<String>> {
         let plan = self.plan_select(stmt)?;
         let mut lines = Vec::new();
@@ -263,135 +434,28 @@ impl ExecContext<'_> {
                 plan.residual.len()
             ));
         }
-        if plan.aggregate_mode {
-            // Re-bind to count aggregate calls and fast paths (the
-            // executor does the same binding when it runs).
-            let mut agg_calls: Vec<AggCall> = Vec::new();
-            for p in &stmt.projections {
-                let mut binder = Binder {
-                    schema: &plan.schema,
-                    registry: &self.registry,
-                    group_exprs: &stmt.group_by,
-                    aggs: Some(&mut agg_calls),
-                };
-                binder.bind(&p.expr)?;
+        match &plan.bound {
+            BoundSelect::Aggregate(b) => {
+                let fast = b.fast_args.iter().flatten().count();
+                let udfs = b
+                    .agg_calls
+                    .iter()
+                    .filter(|c| matches!(c.kind, AggKind::Udf(_)))
+                    .count();
+                lines.push(format!(
+                    "aggregate: {} call(s) ({fast} fast-path candidate(s), {udfs} UDF state(s)); group by {} key(s)",
+                    b.agg_calls.len(),
+                    stmt.group_by.len()
+                ));
             }
-            if let Some(h) = &stmt.having {
-                let mut binder = Binder {
-                    schema: &plan.schema,
-                    registry: &self.registry,
-                    group_exprs: &stmt.group_by,
-                    aggs: Some(&mut agg_calls),
-                };
-                binder.bind(h)?;
-            }
-            let fast_args = compute_fast_args(&plan.schema, &agg_calls);
-            let fast = fast_args.iter().filter(|f| f.is_some()).count();
-            let udfs = agg_calls
-                .iter()
-                .filter(|c| matches!(c.kind, AggKind::Udf(_)))
-                .count();
-            lines.push(format!(
-                "aggregate: {} call(s) ({fast} fast-path candidate(s), {udfs} UDF state(s)); group by {} key(s)",
-                agg_calls.len(),
-                stmt.group_by.len()
-            ));
-            let trivial_join = plan.join_product.len() == 1 && plan.join_product[0].is_empty();
-            // Mirror the executor's summary rewrite (without rebuilding
-            // anything): report the summary that would answer.
-            let summary_line = if stmt.from.len() == 1 && trivial_join && plan.residual.is_empty() {
-                self.explain_summary_match(stmt, &plan.schema, &agg_calls)?
-            } else {
-                None
-            };
-            // Mirror the executor's block-path eligibility test so the
-            // plan shows which scan mode will run.
-            let block_plan = if self.block_scan && stmt.group_by.is_empty() && trivial_join {
-                plan_block_calls(
-                    &plan.schema,
-                    plan.base.schema().len(),
-                    &agg_calls,
-                    &fast_args,
-                    &plan.residual,
-                )
-            } else {
-                None
-            };
-            match (summary_line, block_plan) {
-                (Some(line), _) => lines.push(line),
-                (None, Some(bp)) => lines.push(block_agg_line(&bp)),
-                (None, None) => {
-                    // State why the vectorized path is ineligible, most
-                    // significant obstacle first.
-                    let reason = if !self.block_scan {
-                        "block scan disabled".to_owned()
-                    } else if !stmt.group_by.is_empty() {
-                        "GROUP BY requires row grouping".to_owned()
-                    } else if !trivial_join {
-                        "cross join".to_owned()
-                    } else if plan_block_calls(
-                        &plan.schema,
-                        plan.base.schema().len(),
-                        &agg_calls,
-                        &fast_args,
-                        &[],
-                    )
-                    .is_none()
-                    {
-                        "aggregate arguments are not all float base-table columns".to_owned()
-                    } else {
-                        format!(
-                            "{} residual predicate(s) not block-compilable",
-                            plan.residual.len()
-                        )
-                    };
-                    lines.push(format!("scan mode: row-at-a-time ({reason})"));
-                }
-            }
-            if stmt.having.is_some() {
-                lines.push("having: post-aggregation filter".into());
-            }
-        } else {
-            lines.push(format!(
+            BoundSelect::Scalar(_) => lines.push(format!(
                 "project: {} expression(s) per row",
                 stmt.projections.len()
-            ));
-            // Mirror the executor's scalar block-path eligibility test
-            // (scoring queries decode column blocks instead of rows).
-            let mut bound = Vec::new();
-            for p in &stmt.projections {
-                if p.expr == Expr::Wildcard {
-                    for c in 0..plan.schema.len() {
-                        bound.push(BoundExpr::ColumnRef(c));
-                    }
-                } else {
-                    bound.push(Binder::scalar(&plan.schema, &self.registry).bind(&p.expr)?);
-                }
-            }
-            let block_plan = if self.block_scan && stmt.order_by.is_empty() {
-                plan_scalar_block(
-                    &plan.schema,
-                    &plan.base,
-                    &plan.join_product,
-                    &bound,
-                    &plan.residual,
-                )
-            } else {
-                Err(String::new())
-            };
-            match block_plan {
-                Ok(bp) => lines.push(block_scalar_line(&bp)),
-                Err(why) => {
-                    let reason = if !self.block_scan {
-                        "block scan disabled".to_owned()
-                    } else if !stmt.order_by.is_empty() {
-                        "ORDER BY requires row materialization".to_owned()
-                    } else {
-                        why
-                    };
-                    lines.push(format!("scan mode: row-at-a-time ({reason})"));
-                }
-            }
+            )),
+        }
+        lines.push(format!("scan mode: {}", plan.path.describe()));
+        if stmt.having.is_some() {
+            lines.push("having: post-aggregation filter".into());
         }
         if !stmt.order_by.is_empty() {
             lines.push(format!("order by: {} key(s)", stmt.order_by.len()));
@@ -428,88 +492,71 @@ impl ExecContext<'_> {
         }
     }
 
-    fn execute_scalar(
-        &self,
-        stmt: &SelectStmt,
-        base: &Table,
-        schema: &BoundSchema,
-        join_product: &[Row],
-        residual: &[BoundExpr],
-    ) -> Result<ResultSet> {
+    /// Binds a non-aggregate SELECT: projections (a wildcard expands
+    /// to every column) and ORDER BY keys.
+    fn bind_scalar(&self, stmt: &SelectStmt, schema: &BoundSchema) -> Result<ScalarBindings> {
         if stmt.having.is_some() {
             return Err(EngineError::Unsupported(
                 "HAVING requires aggregation or GROUP BY".into(),
             ));
         }
-        // Expand projections (wildcard becomes every column).
-        let mut bound = Vec::new();
+        let mut proj = Vec::new();
         let mut names = Vec::new();
         for (i, p) in stmt.projections.iter().enumerate() {
             if p.expr == Expr::Wildcard {
                 for c in 0..schema.len() {
-                    bound.push(BoundExpr::ColumnRef(c));
+                    proj.push(BoundExpr::ColumnRef(c));
                     names.push(schema.column_name(c).to_owned());
                 }
             } else {
-                bound.push(Binder::scalar(schema, &self.registry).bind(&p.expr)?);
+                proj.push(Binder::scalar(schema, &self.registry).bind(&p.expr)?);
                 names.push(projection_name(p, i));
             }
         }
+        let order = bind_order(stmt, proj.len(), |e| {
+            Binder::scalar(schema, &self.registry).bind(e)
+        })?;
+        Ok(ScalarBindings { proj, names, order })
+    }
 
-        // ORDER BY keys: bound against the input schema, or a 1-based
-        // output ordinal (`ORDER BY 2`).
-        let order_bound: Vec<(OrderEval, bool)> = stmt
-            .order_by
-            .iter()
-            .map(|key| {
-                let eval = match &key.expr {
-                    Expr::Literal(Value::Int(k)) => {
-                        let idx = (*k as usize).checked_sub(1).filter(|i| *i < bound.len());
-                        OrderEval::Ordinal(idx.ok_or_else(|| {
-                            EngineError::Unsupported(format!("ORDER BY ordinal {k} out of range"))
-                        })?)
-                    }
-                    e => OrderEval::Expr(Binder::scalar(schema, &self.registry).bind(e)?),
-                };
-                Ok((eval, key.descending))
-            })
-            .collect::<Result<_>>()?;
-
-        // Vectorized alternative to the row loop: scoring-style
-        // projections (scalar UDFs over float base columns plus
-        // model-table constants from a single join combination) decode
-        // column blocks instead of materializing full rows. Residual
-        // predicates ride along as per-block selection bitmaps, and a
-        // LIMIT stops each worker early.
-        if self.block_scan && stmt.order_by.is_empty() {
-            if let Ok(plan) = plan_scalar_block(schema, base, join_product, &bound, residual) {
-                let scan_started = Instant::now();
-                let rows = self.run_scalar_block(base, &plan, stmt.limit)?;
-                let mut stats = ExecStats {
-                    block_path: true,
-                    ..ExecStats::default()
-                };
-                stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
-                stats.rows_scanned = rows.1;
-                stats.blocks_scanned = rows.2;
-                let mut out = rows.0;
-                if let Some(limit) = stmt.limit {
-                    out.truncate(limit);
-                }
-                let mut rs = ResultSet::new(names, out);
-                rs.stats = stats;
-                return Ok(rs);
+    fn execute_scalar(
+        &self,
+        stmt: &SelectStmt,
+        plan: &PlannedSelect,
+        bindings: &ScalarBindings,
+    ) -> Result<ResultSet> {
+        let names = bindings.names.clone();
+        // Vectorized alternative to the row loop: residual predicates
+        // ride along as per-block selection bitmaps, and a LIMIT stops
+        // each worker early.
+        if let AccessPath::ScalarBlock(bp) = &plan.path {
+            let scan_started = Instant::now();
+            let (mut out, rows_scanned, blocks_scanned) =
+                self.run_scalar_block(&plan.base, bp, stmt.limit)?;
+            let scan_nanos = scan_started.elapsed().as_nanos() as u64;
+            if let Some(limit) = stmt.limit {
+                out.truncate(limit);
             }
+            let mut rs = ResultSet::new(names, out);
+            rs.stats = ExecStats {
+                block_path: true,
+                rows_scanned,
+                blocks_scanned,
+                scan_nanos,
+                ..ExecStats::default()
+            };
+            return Ok(rs);
         }
 
-        let bound_ref = &bound;
-        let order_ref = &order_bound;
+        let (join_product, residual) = (&plan.join_product, &plan.residual);
+        let bound_ref = &bindings.proj;
+        let order_ref = &bindings.order;
         let cancel = self.cancel.as_deref();
         let scan_started = Instant::now();
         // Each worker returns its keyed projections plus how many base
         // rows it scanned.
         type KeyedPartial = (Vec<(Row, Row)>, u64);
-        let partials: Vec<Result<KeyedPartial>> = parallel_scan(base, self.workers, |iter| {
+        let partials: Vec<Result<KeyedPartial>> = parallel_scan(&plan.base, self.workers, |iter| {
             let mut out = Vec::new();
             let mut combined_buf: Row = Vec::new();
             let mut scanned_rows = 0u64;
@@ -684,97 +731,45 @@ impl ExecContext<'_> {
         Ok((all, rows, blocks))
     }
 
-    fn execute_aggregate(
-        &self,
-        stmt: &SelectStmt,
-        base: &Table,
-        schema: &BoundSchema,
-        join_product: &[Row],
-        residual: &[BoundExpr],
-    ) -> Result<ResultSet> {
-        let bindings = self.bind_aggregate(stmt, schema)?;
-        let mut stats = ExecStats::default();
-        let merged = self.aggregate_partials(
-            stmt,
-            base,
-            schema,
-            join_product,
-            residual,
-            &bindings,
-            &mut stats,
-        )?;
-        finalize_merged(stmt, &bindings, merged, stats)
-    }
-
     /// Binds everything an aggregate SELECT evaluates — GROUP BY keys,
     /// projections, HAVING, ORDER BY — collecting the aggregate calls
-    /// they contain. Binding is deterministic, so two engines with the
-    /// same catalog and registry produce the same call list (the
-    /// property shard gather relies on to line partials up).
+    /// they contain and recognizing their fast-path shapes. Binding is
+    /// deterministic, so two engines with the same catalog and registry
+    /// produce the same call list (the property shard gather relies on
+    /// to line partials up).
     fn bind_aggregate(&self, stmt: &SelectStmt, schema: &BoundSchema) -> Result<AggBindings> {
-        // Bind GROUP BY keys (scalar mode).
         let group_bound: Vec<BoundExpr> = stmt
             .group_by
             .iter()
             .map(|g| Binder::scalar(schema, &self.registry).bind(g))
             .collect::<Result<_>>()?;
 
-        // Bind projections in aggregate mode, extracting agg calls.
+        // Projections, HAVING and ORDER BY bind in aggregate mode, so
+        // each may introduce its own aggregate calls (e.g.
+        // `HAVING count(*) > 5`, `ORDER BY sum(v) DESC`).
         let mut agg_calls: Vec<AggCall> = Vec::new();
-        let mut proj_bound = Vec::new();
-        let mut names = Vec::new();
-        for (i, p) in stmt.projections.iter().enumerate() {
-            let mut binder = Binder {
+        let mut bind = |e: &Expr| {
+            Binder {
                 schema,
                 registry: &self.registry,
                 group_exprs: &stmt.group_by,
                 aggs: Some(&mut agg_calls),
-            };
-            proj_bound.push(binder.bind(&p.expr)?);
-            names.push(projection_name(p, i));
-        }
-
-        // HAVING and ORDER BY are also bound in aggregate mode so they
-        // may introduce their own aggregate calls (e.g.
-        // `HAVING count(*) > 5`, `ORDER BY sum(v) DESC`).
-        let having_bound = match &stmt.having {
-            Some(h) => {
-                let mut binder = Binder {
-                    schema,
-                    registry: &self.registry,
-                    group_exprs: &stmt.group_by,
-                    aggs: Some(&mut agg_calls),
-                };
-                Some(binder.bind(h)?)
             }
-            None => None,
+            .bind(e)
         };
-        let order_bound: Vec<(OrderEval, bool)> = stmt
-            .order_by
+        let proj_bound = stmt
+            .projections
             .iter()
-            .map(|key| {
-                let eval = match &key.expr {
-                    Expr::Literal(Value::Int(k)) => {
-                        let idx = (*k as usize)
-                            .checked_sub(1)
-                            .filter(|i| *i < proj_bound.len());
-                        OrderEval::Ordinal(idx.ok_or_else(|| {
-                            EngineError::Unsupported(format!("ORDER BY ordinal {k} out of range"))
-                        })?)
-                    }
-                    e => {
-                        let mut binder = Binder {
-                            schema,
-                            registry: &self.registry,
-                            group_exprs: &stmt.group_by,
-                            aggs: Some(&mut agg_calls),
-                        };
-                        OrderEval::Expr(binder.bind(e)?)
-                    }
-                };
-                Ok((eval, key.descending))
-            })
-            .collect::<Result<_>>()?;
+            .map(|p| bind(&p.expr))
+            .collect::<Result<Vec<_>>>()?;
+        let having_bound = stmt.having.as_ref().map(&mut bind).transpose()?;
+        let order_bound = bind_order(stmt, proj_bound.len(), &mut bind)?;
+        let names = stmt
+            .projections
+            .iter()
+            .enumerate()
+            .map(|(i, p)| projection_name(p, i))
+            .collect();
 
         // Verify every aggregate UDF state fits the heap budget.
         for call in &agg_calls {
@@ -784,9 +779,13 @@ impl ExecContext<'_> {
             }
         }
 
+        // Recognize fast shapes for simple numeric aggregate terms
+        // (the bulk of the paper's generated 1 + d + d² queries).
+        let fast_args = compute_fast_args(schema, &agg_calls);
         Ok(AggBindings {
             group_bound,
             agg_calls,
+            fast_args,
             proj_bound,
             names,
             having_bound,
@@ -794,71 +793,63 @@ impl ExecContext<'_> {
         })
     }
 
-    /// Phases 1–3 of the aggregation protocol: summary rewrite or
-    /// parallel scan, then the per-engine partial merge. Returns the
-    /// merged (but unfinalized) per-group accumulator states, so the
-    /// caller can either finalize locally ([`finalize_merged`]) or
-    /// ship them to a gather step that merges across shards first.
-    #[allow(clippy::too_many_arguments)]
+    /// Phases 1–3 of the aggregation protocol over the planned access
+    /// path: summary answer or parallel scan, then the per-engine
+    /// partial merge. Returns the merged (but unfinalized) per-group
+    /// accumulator states, so the caller can either finalize locally
+    /// ([`finalize_merged`]) or ship them to a gather step that merges
+    /// across shards first.
     fn aggregate_partials(
         &self,
-        stmt: &SelectStmt,
-        base: &Table,
-        schema: &BoundSchema,
-        join_product: &[Row],
-        residual: &[BoundExpr],
+        plan: &PlannedSelect,
         bindings: &AggBindings,
         stats: &mut ExecStats,
     ) -> Result<GroupMap> {
-        let group_bound = &bindings.group_bound;
-        let agg_calls = &bindings.agg_calls;
-
-        // Planner rewrite: answer the whole statement from a
-        // materialized Γ summary when one structurally matches — no
-        // scan at all, O(groups · d²) work. The summary yields
-        // *accumulator* states (not finalized values), so a summary
-        // answer merges with other engines' partials like any scan.
-        let trivial_join = join_product.len() == 1 && join_product[0].is_empty();
-        if stmt.from.len() == 1 && trivial_join && residual.is_empty() {
-            let summary_started = Instant::now();
-            let answer = self.try_summary_answer(
-                &stmt.from[0].name,
-                base,
-                schema,
-                group_bound,
-                agg_calls,
-                stats,
-            )?;
-            stats.summary_nanos = summary_started.elapsed().as_nanos() as u64;
-            if let Some(groups) = answer {
-                return Ok(groups);
+        stats.summary_misses += u64::from(plan.summary_miss);
+        let path = match &plan.path {
+            // No scan at all, O(groups · d²) work. The summary yields
+            // *accumulator* states (not finalized values), so a summary
+            // answer merges with other engines' partials like any scan.
+            AccessPath::Summary {
+                entry,
+                recipes,
+                fresh,
+                fallback,
+            } => {
+                let summary_started = Instant::now();
+                let answer = self.summary_answer(
+                    &plan.base,
+                    entry,
+                    recipes,
+                    fresh.as_ref(),
+                    &bindings.agg_calls,
+                    stats,
+                )?;
+                stats.summary_nanos = summary_started.elapsed().as_nanos() as u64;
+                if let Some(groups) = answer {
+                    return Ok(groups);
+                }
+                stats.summary_misses += 1;
+                fallback.as_ref()
             }
-        }
-
-        // Recognize fast shapes for simple numeric aggregate terms
-        // (the bulk of the paper's generated 1 + d + d² queries).
-        let fast_args = compute_fast_args(schema, agg_calls);
-
-        let group_ref = group_bound;
-        let calls_ref = agg_calls;
-        let fast_ref = &fast_args;
-        let cancel = self.cancel.as_deref();
-
-        // Vectorized alternative to the row loop: when the whole
-        // statement is a global aggregate over numeric columns of the
-        // base table, scan fixed-size column blocks instead of rows.
-        // Compilable residual predicates become per-block selection
-        // bitmaps rather than forcing the row path.
-        let block_plan = if self.block_scan && group_bound.is_empty() && trivial_join {
-            plan_block_calls(schema, base.schema().len(), agg_calls, &fast_args, residual)
-        } else {
-            None
+            path => path,
         };
+        let block_plan = match path {
+            AccessPath::Block(bp) => Some(bp),
+            _ => None,
+        };
+
+        let base = &*plan.base;
+        let (join_product, residual) = (&plan.join_product, &plan.residual);
+        let group_ref = &bindings.group_bound;
+        let calls_ref = &bindings.agg_calls;
+        let fast_ref = &bindings.fast_args;
+        let cancel = self.cancel.as_deref();
 
         // Phase 1-2: each worker accumulates per-group partial states
         // over its partition (the UDF protocol's init + row steps).
         let scan_started = Instant::now();
-        let partials: Vec<Result<(GroupMap, u64, u64, u64)>> = if let Some(plan) = &block_plan {
+        let partials: Vec<Result<(GroupMap, u64, u64, u64)>> = if let Some(plan) = block_plan {
             stats.block_path = true;
             parallel_scan_partitions(base, self.workers, |p| {
                 let start = Instant::now();
@@ -952,18 +943,7 @@ impl ExecContext<'_> {
             stats.rows_scanned += rows;
             stats.blocks_scanned += blocks;
             stats.accumulate_nanos += nanos;
-            for (key, accums) in groups {
-                match merged.get_mut(&key) {
-                    None => {
-                        merged.insert(key, accums);
-                    }
-                    Some(existing) => {
-                        for (e, a) in existing.iter_mut().zip(accums) {
-                            e.merge(a)?;
-                        }
-                    }
-                }
-            }
+            merge_groups(&mut merged, groups)?;
         }
         stats.merge_nanos = merge_start.elapsed().as_nanos() as u64;
         stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
@@ -976,25 +956,12 @@ impl ExecContext<'_> {
     pub fn execute_select_partial(&self, stmt: &SelectStmt) -> Result<AggPartial> {
         let plan_started = Instant::now();
         let plan = self.plan_select(stmt)?;
-        if !plan.aggregate_mode {
-            return Err(EngineError::Unsupported(
-                "partial execution requires an aggregate SELECT".into(),
-            ));
-        }
-        let bindings = self.bind_aggregate(stmt, &plan.schema)?;
+        let bindings = plan.aggregate()?;
         let mut stats = ExecStats {
             plan_nanos: plan_started.elapsed().as_nanos() as u64,
             ..ExecStats::default()
         };
-        let merged = self.aggregate_partials(
-            stmt,
-            &plan.base,
-            &plan.schema,
-            &plan.join_product,
-            &plan.residual,
-            &bindings,
-            &mut stats,
-        )?;
+        let merged = self.aggregate_partials(&plan, bindings, &mut stats)?;
         Ok(AggPartial {
             groups: merged.into_iter().collect(),
             stats,
@@ -1012,12 +979,7 @@ impl ExecContext<'_> {
         partials: Vec<AggPartial>,
     ) -> Result<ResultSet> {
         let plan = self.plan_select(stmt)?;
-        if !plan.aggregate_mode {
-            return Err(EngineError::Unsupported(
-                "partial execution requires an aggregate SELECT".into(),
-            ));
-        }
-        let bindings = self.bind_aggregate(stmt, &plan.schema)?;
+        let bindings = plan.aggregate()?;
         let mut stats = ExecStats::default();
         let mut all_summary = !partials.is_empty();
         let merge_start = Instant::now();
@@ -1037,58 +999,32 @@ impl ExecContext<'_> {
             stats.accumulate_nanos += s.accumulate_nanos;
             stats.merge_nanos += s.merge_nanos;
             all_summary &= s.summary_path;
-            for (key, accums) in partial.groups {
-                match merged.get_mut(&key) {
-                    None => {
-                        merged.insert(key, accums);
-                    }
-                    Some(existing) => {
-                        for (e, a) in existing.iter_mut().zip(accums) {
-                            e.merge(a)?;
-                        }
-                    }
-                }
-            }
+            merge_groups(&mut merged, partial.groups)?;
         }
         stats.summary_path = all_summary;
         stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-        finalize_merged(stmt, &bindings, merged, stats)
+        finalize_merged(stmt, bindings, merged, stats)
     }
 
-    /// Attempts to answer an aggregate query from a materialized Γ
-    /// summary on `table`. A structurally matching stale summary is
-    /// rebuilt on the spot (the stale → fresh edge); returns per-group
-    /// accumulator states seeded from Γ on a hit (merge-compatible
-    /// with scan partials), `None` to fall back to the scan paths.
-    fn try_summary_answer(
+    /// Answers from the planned summary: from the plan-time snapshot
+    /// when the summary was fresh, otherwise by rebuilding it now (the
+    /// stale → fresh edge) and gating the rebuilt state. Returns
+    /// per-group accumulator states seeded from Γ (merge-compatible
+    /// with scan partials), or `None` when the plan's fallback scan
+    /// must run.
+    fn summary_answer(
         &self,
-        table: &str,
         base: &Table,
-        schema: &BoundSchema,
-        group_bound: &[BoundExpr],
+        entry: &SummaryEntry,
+        recipes: &[SummaryRecipe],
+        fresh: Option<&SummarySnapshot>,
         agg_calls: &[AggCall],
         stats: &mut ExecStats,
     ) -> Result<Option<GroupMap>> {
-        let candidates = self.summaries.for_table(table);
-        if candidates.is_empty() || agg_calls.is_empty() {
-            return Ok(None);
-        }
-        // The only group shape a keyed summary stores: one plain
-        // column reference.
-        let want_group = match group_bound {
-            [] => None,
-            [BoundExpr::ColumnRef(i)] => Some(schema.column_name(*i)),
-            _ => {
-                stats.summary_misses += 1;
-                return Ok(None);
-            }
-        };
-        for entry in &candidates {
-            let Some(recipes) = plan_summary_recipes(entry.def(), schema, agg_calls, want_group)
-            else {
-                continue;
-            };
-            if !entry.is_fresh() {
+        let rebuilt;
+        let snap = match fresh {
+            Some(snap) => snap,
+            None => {
                 match entry.rebuild_with_cancel(base, self.cancel.as_deref()) {
                     // The rebuild scanned the table for real; account
                     // its rows so EXPLAIN ANALYZE shows the work.
@@ -1102,67 +1038,44 @@ impl ExecContext<'_> {
                     Err(e @ nlq_summary::SummaryError::Cancelled { .. }) => return Err(e.into()),
                     // E.g. the table was replaced with an incompatible
                     // schema; the summary stays stale and unusable.
-                    Err(_) => continue,
+                    Err(_) => return Ok(None),
                 }
+                rebuilt = entry.snapshot();
+                if !rebuilt.fresh || !null_gate(entry.def(), recipes, rebuilt.null_rows_skipped) {
+                    return Ok(None);
+                }
+                &rebuilt
             }
-            let snap = entry.snapshot();
-            if !snap.fresh || !null_gate(entry.def(), &recipes, snap.null_rows_skipped) {
-                continue;
-            }
-            let groups = summary_accum_groups(&snap, &recipes, agg_calls)?;
-            stats.summary_path = true;
-            stats.summary_hits += 1;
-            return Ok(Some(groups));
-        }
-        // Summaries exist for this table but none could answer.
-        stats.summary_misses += 1;
-        Ok(None)
-    }
-
-    /// EXPLAIN's view of the summary rewrite: the `scan mode: summary`
-    /// line for the first summary that would answer this statement, or
-    /// `None`. Stale candidates are reported (they rebuild on execute)
-    /// but never rebuilt here.
-    fn explain_summary_match(
-        &self,
-        stmt: &SelectStmt,
-        schema: &BoundSchema,
-        agg_calls: &[AggCall],
-    ) -> Result<Option<String>> {
-        if agg_calls.is_empty() {
-            return Ok(None);
-        }
-        let group_bound: Vec<BoundExpr> = stmt
-            .group_by
-            .iter()
-            .map(|g| Binder::scalar(schema, &self.registry).bind(g))
-            .collect::<Result<_>>()?;
-        let want_group = match group_bound.as_slice() {
-            [] => None,
-            [BoundExpr::ColumnRef(i)] => Some(schema.column_name(*i)),
-            _ => return Ok(None),
         };
-        for entry in self.summaries.for_table(&stmt.from[0].name) {
-            let Some(recipes) = plan_summary_recipes(entry.def(), schema, agg_calls, want_group)
-            else {
-                continue;
-            };
-            let snap = entry.snapshot();
-            if snap.fresh && !null_gate(entry.def(), &recipes, snap.null_rows_skipped) {
-                continue;
-            }
-            let line = if snap.fresh {
-                format!("scan mode: summary ({}, fresh)", entry.def().name)
-            } else {
-                format!(
-                    "scan mode: summary ({}, stale; rebuilt on execute)",
-                    entry.def().name
-                )
-            };
-            return Ok(Some(line));
-        }
-        Ok(None)
+        let groups = summary_accum_groups(snap, recipes, agg_calls)?;
+        stats.summary_path = true;
+        stats.summary_hits += 1;
+        Ok(Some(groups))
     }
+}
+
+/// Binds ORDER BY keys: a 1-based output ordinal (`ORDER BY 2`) among
+/// `outputs` projections, or an expression bound by `bind`.
+fn bind_order(
+    stmt: &SelectStmt,
+    outputs: usize,
+    mut bind: impl FnMut(&Expr) -> Result<BoundExpr>,
+) -> Result<Vec<(OrderEval, bool)>> {
+    stmt.order_by
+        .iter()
+        .map(|key| {
+            let eval = match &key.expr {
+                Expr::Literal(Value::Int(k)) => {
+                    let idx = (*k as usize).checked_sub(1).filter(|i| *i < outputs);
+                    OrderEval::Ordinal(idx.ok_or_else(|| {
+                        EngineError::Unsupported(format!("ORDER BY ordinal {k} out of range"))
+                    })?)
+                }
+                e => OrderEval::Expr(bind(e)?),
+            };
+            Ok((eval, key.descending))
+        })
+        .collect()
 }
 
 /// Phase 4 of the aggregation protocol, shared by the scan paths and
@@ -1504,50 +1417,19 @@ struct BlockPlan {
     predicate: Option<CompiledPredicates>,
 }
 
-/// The EXPLAIN line for an eligible block-path aggregate.
-fn block_agg_line(bp: &BlockPlan) -> String {
-    match &bp.predicate {
-        None => format!(
-            "scan mode: block ({BLOCK_ROWS}-row column blocks over {} float column(s))",
-            bp.cols.len()
-        ),
-        Some(p) => format!(
-            "scan mode: block ({BLOCK_ROWS}-row column blocks over {} numeric column(s); \
-             {} predicate(s) as selection bitmap)",
-            bp.cols.len(),
-            p.len()
-        ),
-    }
-}
-
-/// The EXPLAIN line for an eligible block-path scalar projection.
-fn block_scalar_line(bp: &ScalarBlockPlan) -> String {
-    match &bp.predicate {
-        None => format!(
-            "scan mode: block ({BLOCK_ROWS}-row column blocks over {} numeric column(s))",
-            bp.cols.len()
-        ),
-        Some(p) => format!(
-            "scan mode: block ({BLOCK_ROWS}-row column blocks over {} numeric column(s); \
-             {} predicate(s) as selection bitmap)",
-            bp.cols.len(),
-            p.len()
-        ),
-    }
-}
-
-/// Plans the block path for a global aggregate, or returns `None` when
-/// any call (or any residual predicate) needs the general
-/// row-at-a-time machinery. Eligibility per call: every operand is a
-/// float column of the base table (indices below `base_width`), a
-/// product of two such columns, or a literal.
+/// Plans the block path for a global aggregate; `Err` carries the
+/// EXPLAIN reason when any call (or any residual predicate) needs the
+/// general row-at-a-time machinery. Eligibility per call: every
+/// operand is a float column of the base table (indices below
+/// `base_width`), a product of two such columns, or a literal.
 fn plan_block_calls(
     schema: &BoundSchema,
     base_width: usize,
     agg_calls: &[AggCall],
     fast_args: &[Option<FastArg>],
     residual: &[BoundExpr],
-) -> Option<BlockPlan> {
+) -> std::result::Result<BlockPlan, String> {
+    let not_float = || "aggregate arguments are not all float base-table columns".to_owned();
     let mut cols: Vec<usize> = Vec::new();
     let mut slot_of: HashMap<usize, usize> = HashMap::new();
     let slot = |cols: &mut Vec<usize>, slot_of: &mut HashMap<usize, usize>, i: usize| {
@@ -1578,7 +1460,7 @@ fn plan_block_calls(
                 [BoundExpr::ColumnRef(i)] if float_col(*i) => {
                     BlockCall::Extremum(slot(&mut cols, &mut slot_of, *i))
                 }
-                _ => return None,
+                _ => return Err(not_float()),
             },
             (AggKind::Stat(kind), None) => match (kind.arity(), call.args.as_slice()) {
                 (1, [BoundExpr::ColumnRef(a)]) if float_col(*a) => BlockCall::Stat {
@@ -1593,7 +1475,7 @@ fn plan_block_calls(
                         b: Some(slot(&mut cols, &mut slot_of, *b)),
                     }
                 }
-                _ => return None,
+                _ => return Err(not_float()),
             },
             (AggKind::Udf(_), None) => {
                 let mut args = Vec::with_capacity(call.args.len());
@@ -1603,12 +1485,12 @@ fn plan_block_calls(
                         BoundExpr::ColumnRef(i) if float_col(*i) => {
                             BatchArg::Col(slot(&mut cols, &mut slot_of, *i))
                         }
-                        _ => return None,
+                        _ => return Err(not_float()),
                     });
                 }
                 BlockCall::Udf(args)
             }
-            _ => return None,
+            _ => return Err(not_float()),
         };
         calls.push(planned);
     }
@@ -1618,11 +1500,18 @@ fn plan_block_calls(
     let predicate = if residual.is_empty() {
         None
     } else {
-        Some(compile_residual(
-            residual, schema, base_width, None, &mut cols, None,
-        )?)
+        Some(
+            compile_residual(residual, schema, base_width, None, &mut cols, None).ok_or_else(
+                || {
+                    format!(
+                        "{} residual predicate(s) not block-compilable",
+                        residual.len()
+                    )
+                },
+            )?,
+        )
     };
-    Some(BlockPlan {
+    Ok(BlockPlan {
         cols,
         calls,
         predicate,
@@ -2050,10 +1939,20 @@ type GroupMap = HashMap<GroupKey, Vec<AggAccum>>;
 struct AggBindings {
     group_bound: Vec<BoundExpr>,
     agg_calls: Vec<AggCall>,
+    /// Per call: the recognized numeric fast-path term, if any.
+    fast_args: Vec<Option<FastArg>>,
     proj_bound: Vec<BoundExpr>,
     names: Vec<String>,
     having_bound: Option<BoundExpr>,
     order_bound: Vec<(OrderEval, bool)>,
+}
+
+/// Everything a non-aggregate SELECT evaluates per row: projections
+/// (wildcards expanded), their output names, and ORDER BY keys.
+struct ScalarBindings {
+    proj: Vec<BoundExpr>,
+    names: Vec<String>,
+    order: Vec<(OrderEval, bool)>,
 }
 
 /// A merge-ready aggregate partial: the per-group accumulator states
@@ -2067,6 +1966,27 @@ pub struct AggPartial {
     /// summary-answered partial keeps `rows_scanned` at 0 (plus any
     /// stale-rebuild rows): the whole point of shard-local Γ.
     pub stats: ExecStats,
+}
+
+/// Folds one partial's per-group states into `merged` through the
+/// accumulator merge protocol (§3.4 phase 3).
+fn merge_groups(
+    merged: &mut GroupMap,
+    groups: impl IntoIterator<Item = (GroupKey, Vec<AggAccum>)>,
+) -> Result<()> {
+    for (key, accums) in groups {
+        match merged.get_mut(&key) {
+            None => {
+                merged.insert(key, accums);
+            }
+            Some(existing) => {
+                for (e, a) in existing.iter_mut().zip(accums) {
+                    e.merge(a)?;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Inserts the zero-row global group if needed, finalizes every

@@ -46,9 +46,9 @@ mod token;
 
 pub use ast::{Expr, OrderKey, Projection, SelectStmt, Statement, TableRef};
 pub use db::{
-    explain_analyze_footer, load_checkpoint, phase_spans, statement_is_logged, Db, ExecOptions,
-    ExecStats, NlqMethod, PlanCacheStats, RecoveryInfo, ResultSet, ShardMetricsSnapshot, SqlEngine,
-    SummaryRefreshState,
+    explain_analyze_footer, load_checkpoint, phase_spans, publish_checkpoint, statement_is_logged,
+    Db, ExecOptions, ExecStats, NlqMethod, PlanCacheStats, RecoveryInfo, ResultSet,
+    ShardMetricsSnapshot, SqlEngine, SummaryRefreshState,
 };
 pub use error::EngineError;
 pub use exec::{result_to_table, AggPartial};

@@ -235,3 +235,412 @@ fn explain_does_not_execute_the_scan() {
     let plan = plan_text(&db, "EXPLAIN SELECT sum(X1 / (X2 - X2)) FROM X");
     assert!(plan.contains("aggregate: 1 call(s)"), "{plan}");
 }
+
+/// The access path a statement took or will take, as both surfaces
+/// name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Summary,
+    Block,
+    Row,
+}
+
+fn kind_of(mode: &str) -> Kind {
+    if mode.starts_with("summary") {
+        Kind::Summary
+    } else if mode.starts_with("block") {
+        Kind::Block
+    } else if mode.starts_with("row-at-a-time") {
+        Kind::Row
+    } else {
+        panic!("unknown scan mode {mode:?}")
+    }
+}
+
+/// EXPLAIN's verdict: the `scan mode:` kind, plus the fallback it
+/// names for a stale summary.
+fn explained_kinds(plan: &str) -> (Kind, Option<Kind>) {
+    let mode = plan
+        .lines()
+        .find_map(|l| l.strip_prefix("scan mode: "))
+        .unwrap_or_else(|| panic!("no scan mode line:\n{plan}"));
+    let fallback = mode.split_once("; fallback: ").map(|(_, f)| kind_of(f));
+    (kind_of(mode), fallback)
+}
+
+fn executed_kind(stats: &nlq_engine::ExecStats) -> Kind {
+    if stats.summary_path {
+        Kind::Summary
+    } else if stats.block_path {
+        Kind::Block
+    } else {
+        Kind::Row
+    }
+}
+
+/// One corpus entry: statements run after loading (summaries, DML),
+/// the block-scan toggle, and the query.
+struct Case {
+    name: &'static str,
+    setup: &'static [&'static str],
+    block_scan: bool,
+    sql: String,
+}
+
+/// `X(i, X1..X3, Y)` with `Y = i mod 4`, plus a regression model `B`,
+/// centroids `C`, PCA tables `LAMBDA`/`MU`, and `T(x, y)` whose `x` has
+/// NULLs.
+fn corpus_rows() -> Vec<Vec<f64>> {
+    (0..600)
+        .map(|i| {
+            let t = i as f64;
+            vec![
+                t * 0.5 - 100.0,
+                (i % 17) as f64 - 8.0,
+                (t * 0.37).sin(),
+                (i % 4) as f64,
+            ]
+        })
+        .collect()
+}
+
+fn load_models(
+    mut register_beta: impl FnMut(&nlq_linalg::Vector),
+    mut register_centroids: impl FnMut(&[nlq_linalg::Vector]),
+    mut register_pca: impl FnMut(&nlq_linalg::Matrix, &nlq_linalg::Vector),
+) {
+    register_beta(&nlq_linalg::Vector::from_vec(vec![0.5, -1.0, 2.0]));
+    let centroids: Vec<nlq_linalg::Vector> = (0..3)
+        .map(|j| nlq_linalg::Vector::from_vec(vec![j as f64, 1.0, -(j as f64)]))
+        .collect();
+    register_centroids(&centroids);
+    let mut lambda = nlq_linalg::Matrix::zeros(3, 2);
+    lambda[(0, 0)] = 1.0;
+    lambda[(1, 1)] = 1.0;
+    register_pca(&lambda, &nlq_linalg::Vector::from_vec(vec![0.0; 3]));
+}
+
+fn corpus_db(case: &Case) -> Db {
+    let db = Db::new(4);
+    db.load_points("X", &corpus_rows(), true).unwrap();
+    load_models(
+        |b| db.register_beta("B", 0.25, b).unwrap(),
+        |c| db.register_centroids("C", c).unwrap(),
+        |l, m| {
+            db.register_lambda("LAMBDA", l).unwrap();
+            db.register_mu("MU", m).unwrap();
+        },
+    );
+    db.execute("CREATE TABLE T (x FLOAT, y FLOAT)").unwrap();
+    db.execute("INSERT INTO T VALUES (1.0, 2.0), (NULL, 3.0), (4.0, 5.0), (2.5, NULL), (7.0, 1.0)")
+        .unwrap();
+    for stmt in case.setup {
+        db.execute(stmt).unwrap();
+    }
+    db.set_block_scan(case.block_scan);
+    db
+}
+
+fn corpus() -> Vec<Case> {
+    use nlq_udf::ParamStyle;
+    let cols = sqlgen::x_cols(3);
+    let case = |name, setup, block_scan, sql: String| Case {
+        name,
+        setup,
+        block_scan,
+        sql,
+    };
+    let fresh: &[&str] = &["CREATE SUMMARY sx ON X (X1, X2, X3)"];
+    // DELETE leaves a min/max summary stale (min/max do not subtract).
+    let stale: &[&str] = &[
+        "CREATE SUMMARY sx ON X (X1, X2, X3)",
+        "DELETE FROM X WHERE i > 590",
+    ];
+    // T's summary skips its NULL-x row, so it may only answer a full
+    // nlq over both columns; a stale one learns that only on rebuild.
+    let t_fresh: &[&str] = &["CREATE SUMMARY st ON T (x, y)"];
+    let t_stale: &[&str] = &[
+        "CREATE SUMMARY st ON T (x, y)",
+        "DELETE FROM T WHERE y > 4.5",
+    ];
+    let x1_only: &[&str] = &["CREATE SUMMARY s ON X (X1)"];
+    let grouped: &[&str] = &["CREATE SUMMARY g ON X (X1, X2) GROUP BY Y"];
+    let tri = MatrixShape::Triangular;
+    vec![
+        case(
+            "long SQL Γ",
+            &[],
+            true,
+            sqlgen::nlq_sql_query("X", &cols, tri),
+        ),
+        case(
+            "nlq_list UDF",
+            &[],
+            true,
+            sqlgen::nlq_udf_query("X", &cols, tri, ParamStyle::List),
+        ),
+        case(
+            "nlq_str UDF",
+            &[],
+            true,
+            sqlgen::nlq_udf_query("X", &cols, tri, ParamStyle::String),
+        ),
+        case(
+            "grouped nlq_list",
+            &[],
+            true,
+            sqlgen::nlq_grouped_query("X", &cols, "Y", tri, ParamStyle::List),
+        ),
+        case(
+            "regression scoring",
+            &[],
+            true,
+            sqlgen::score_regression_udf("X", &cols, "B"),
+        ),
+        case(
+            "cluster scoring",
+            &[],
+            true,
+            sqlgen::score_cluster_udf("X", &cols, 3, "C"),
+        ),
+        case(
+            "PCA scoring",
+            &[],
+            true,
+            sqlgen::score_pca_udf("X", &cols, 2, "LAMBDA", "MU"),
+        ),
+        case(
+            "filtered aggregate",
+            &[],
+            true,
+            "SELECT sum(X1), count(*) FROM X WHERE X2 > 0".into(),
+        ),
+        case(
+            "filtered aggregate, arithmetic predicate",
+            &[],
+            true,
+            "SELECT sum(X1) FROM X WHERE X1 * X2 > 1".into(),
+        ),
+        case(
+            "filtered scoring",
+            &[],
+            true,
+            format!(
+                "{} WHERE x.X2 > 0",
+                sqlgen::score_regression_udf("X", &cols, "B")
+            ),
+        ),
+        case(
+            "cross join",
+            &[],
+            true,
+            "SELECT count(*), sum(x.X1) FROM X x CROSS JOIN C c".into(),
+        ),
+        case(
+            "GROUP BY",
+            &[],
+            true,
+            "SELECT Y, sum(X1), avg(X2) FROM X GROUP BY Y".into(),
+        ),
+        case(
+            "ORDER BY aggregate",
+            &[],
+            true,
+            "SELECT Y, sum(X1) FROM X GROUP BY Y ORDER BY sum(X2) DESC".into(),
+        ),
+        case(
+            "global ORDER BY aggregate",
+            &[],
+            true,
+            "SELECT sum(X1) FROM X ORDER BY sum(X2)".into(),
+        ),
+        case(
+            "scalar ORDER BY",
+            &[],
+            true,
+            "SELECT i, X1 FROM X ORDER BY X1 DESC LIMIT 5".into(),
+        ),
+        case(
+            "block scan off",
+            &[],
+            false,
+            "SELECT sum(X1), min(X2) FROM X".into(),
+        ),
+        case(
+            "block scan off, scoring",
+            &[],
+            false,
+            sqlgen::score_regression_udf("X", &cols, "B"),
+        ),
+        case("integer argument", &[], true, "SELECT sum(i) FROM X".into()),
+        case(
+            "fresh summary",
+            fresh,
+            true,
+            sqlgen::nlq_udf_query("X", &cols, tri, ParamStyle::List),
+        ),
+        case(
+            "fresh summary, plain aggregates",
+            fresh,
+            true,
+            "SELECT sum(X1), avg(X3) FROM X".into(),
+        ),
+        case(
+            "fresh summary, unsummarized column",
+            fresh,
+            true,
+            "SELECT sum(Y) FROM X".into(),
+        ),
+        case(
+            "fresh summary, filtered",
+            fresh,
+            true,
+            "SELECT sum(X1) FROM X WHERE X2 > 0".into(),
+        ),
+        case(
+            "stale summary",
+            stale,
+            true,
+            "SELECT sum(X1), count(*) FROM X".into(),
+        ),
+        case(
+            "stale summary, scan off",
+            stale,
+            false,
+            "SELECT sum(X2) FROM X".into(),
+        ),
+        case(
+            "grouped summary",
+            grouped,
+            true,
+            "SELECT Y, sum(X1) FROM X GROUP BY Y".into(),
+        ),
+        case(
+            "fresh summary, NULL rows skipped",
+            t_fresh,
+            true,
+            "SELECT sum(y) FROM T".into(),
+        ),
+        case(
+            "fresh summary, NULL rows skipped, full nlq",
+            t_fresh,
+            true,
+            "SELECT nlq_list(2, 'triang', x, y) FROM T".into(),
+        ),
+        case(
+            "stale summary, NULL rows skipped",
+            t_stale,
+            true,
+            "SELECT sum(x) FROM T".into(),
+        ),
+        // The two statements an earlier, mirrored EXPLAIN misreported:
+        // ORDER BY adds a call the summary cannot answer, and a stale
+        // summary that skips NULL rows falls back after its rebuild.
+        case(
+            "probe: ORDER BY call",
+            x1_only,
+            true,
+            "SELECT sum(X1) FROM X ORDER BY sum(X2)".into(),
+        ),
+        case(
+            "probe: stale NULL-skipping summary",
+            t_stale,
+            true,
+            "SELECT avg(x) FROM T".into(),
+        ),
+    ]
+}
+
+#[test]
+fn explain_scan_mode_matches_the_executed_path() {
+    for case in corpus() {
+        let db = corpus_db(&case);
+        let plan = plan_text(&db, &format!("EXPLAIN {}", case.sql));
+        let (explained, fallback) = explained_kinds(&plan);
+        let rs = db
+            .execute(&case.sql)
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let ran = executed_kind(&rs.stats);
+        match fallback {
+            None => assert_eq!(ran, explained, "{}:\n{plan}", case.name),
+            Some(f) => assert!(
+                ran == Kind::Summary || ran == f,
+                "{}: ran {ran:?}, EXPLAIN named summary or {f:?}:\n{plan}",
+                case.name
+            ),
+        }
+        // Only a stale summary's line names a fallback.
+        assert_eq!(
+            fallback.is_some(),
+            plan.contains("stale; rebuilt on execute"),
+            "{}:\n{plan}",
+            case.name
+        );
+    }
+}
+
+#[test]
+fn motivating_probes_report_the_path_that_runs() {
+    let cases = corpus();
+    let probe = |name: &str| cases.iter().find(|c| c.name == name).unwrap();
+
+    // The ORDER BY call is bound by EXPLAIN too: two calls, block scan.
+    let case = probe("probe: ORDER BY call");
+    let db = corpus_db(case);
+    let plan = plan_text(&db, &format!("EXPLAIN {}", case.sql));
+    assert!(plan.contains("aggregate: 2 call(s)"), "{plan}");
+    assert!(plan.contains("scan mode: block"), "{plan}");
+    let rs = db.execute(&case.sql).unwrap();
+    assert!(rs.stats.block_path && !rs.stats.summary_path);
+    assert_eq!(rs.stats.summary_misses, 1);
+
+    // The stale summary is rebuilt, then its skipped NULL row sends
+    // the statement to the named block fallback.
+    let case = probe("probe: stale NULL-skipping summary");
+    let db = corpus_db(case);
+    let plan = plan_text(&db, &format!("EXPLAIN {}", case.sql));
+    assert!(
+        plan.contains("scan mode: summary (st, stale; rebuilt on execute); fallback: block"),
+        "{plan}"
+    );
+    let rs = db.execute(&case.sql).unwrap();
+    assert!(rs.stats.block_path && !rs.stats.summary_path);
+    assert_eq!(rs.stats.summary_stale_rebuilds, 1);
+    assert_eq!(rs.stats.summary_misses, 1);
+}
+
+#[test]
+fn sharded_explain_matches_the_executed_path() {
+    use nlq_shard::ShardedDb;
+    for case in corpus().into_iter().filter(|c| c.setup.is_empty()) {
+        let db = ShardedDb::new(2, 2);
+        db.load_points("X", &corpus_rows(), true).unwrap();
+        load_models(
+            |b| db.register_beta("B", 0.25, b).unwrap(),
+            |c| db.register_centroids("C", c).unwrap(),
+            |l, m| {
+                db.register_lambda("LAMBDA", l).unwrap();
+                db.register_mu("MU", m).unwrap();
+            },
+        );
+        db.set_block_scan(case.block_scan);
+        let rs = db.execute(&format!("EXPLAIN {}", case.sql)).unwrap();
+        let plan: Vec<String> = rs
+            .rows
+            .iter()
+            .map(|r| r[0].as_str().unwrap().to_owned())
+            .collect();
+        let plan = plan.join("\n");
+        let (explained, fallback) = explained_kinds(&plan);
+        assert_eq!(fallback, None, "{}:\n{plan}", case.name);
+        let rs = db
+            .execute(&case.sql)
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        assert_eq!(
+            executed_kind(&rs.stats),
+            explained,
+            "{}:\n{plan}",
+            case.name
+        );
+    }
+}

@@ -115,3 +115,49 @@ fn batch_score_follows_a_rewritten_primary_key() {
         scores[1]
     );
 }
+
+#[test]
+fn model_republish_never_hides_the_model_from_scoring() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let db = seeded_db();
+    let old = nlq_linalg::Vector::from_vec(vec![0.25, -0.5]);
+    let new = nlq_linalg::Vector::from_vec(vec![0.5, 0.5]);
+    db.register_beta("BETA", 1.0, &old).unwrap();
+    let (start, stop) = (Barrier::new(2), AtomicBool::new(false));
+    std::thread::scope(|s| {
+        // The writer republishes `BETA` back and forth, as the refresh
+        // daemon does, until the reader is done.
+        let writer = s.spawn(|| {
+            start.wait();
+            let mut republished = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let beta = if republished.is_multiple_of(2) {
+                    &new
+                } else {
+                    &old
+                };
+                db.register_beta("BETA", 1.0, beta).unwrap();
+                republished += 1;
+            }
+            republished
+        });
+        start.wait();
+        let mut errors = 0;
+        for _ in 0..3000 {
+            match db.batch_score("F", "BETA", &[42], false, &ExecOptions::default()) {
+                Ok(rs) => {
+                    // Every answer comes from one whole model.
+                    let got = rs.rows[0][1].as_f64().unwrap();
+                    let (a, b) = (expect_score(42.0, 84.0), 1.0 + 0.5 * 42.0 + 0.5 * 84.0);
+                    assert!(tight(got, a) || tight(got, b), "torn model: {got}");
+                }
+                Err(_) => errors += 1,
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(writer.join().unwrap() > 0, "the writer never republished");
+        assert_eq!(errors, 0, "scoring failed while the model was republished");
+    });
+}

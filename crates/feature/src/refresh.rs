@@ -582,11 +582,17 @@ impl RefreshDaemon {
         let ticks = Arc::new(AtomicU64::new(0));
         let progress = Arc::new(RefreshProgress::default());
         let (stop2, refreshes2, ticks2) = (stop.clone(), refreshes.clone(), ticks.clone());
-        let (engine2, progress2) = (Arc::clone(&engine), Arc::clone(&progress));
+        // Built before the thread starts, so the ledger holds every
+        // binding by the time `spawn` returns.
+        let mut lp = RefreshLoop::with_progress(
+            Arc::clone(&engine),
+            bindings,
+            config,
+            Arc::clone(&progress),
+        );
         let handle = std::thread::Builder::new()
             .name("nlq-refresh".into())
             .spawn(move || {
-                let mut lp = RefreshLoop::with_progress(engine2, bindings, config, progress2);
                 while !stop2.load(Ordering::Relaxed) {
                     if let Some(g) = &gate {
                         if !g.acquire(&stop2) {

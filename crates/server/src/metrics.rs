@@ -627,131 +627,118 @@ pub fn render_engine_prometheus(
     p.finish()
 }
 
-/// Renders the durability gauges — WAL counters since open, current
-/// log size, and what the last recovery replayed — as `(name, value)`
-/// METRICS rows. A volatile engine (no `--wal-dir`) contributes no
-/// rows at all.
+/// One durability metric: its `METRICS` row name, whether it is a
+/// monotone counter (else a gauge), its help text, and its value. The
+/// Prometheus family name derives from the row name
+/// ([`prometheus_family`]), so both surfaces carry one set of names.
+type WalMetric = (&'static str, bool, &'static str, u64);
+
+/// The durability metrics — WAL counters since open, current log size,
+/// and what the last recovery replayed. A volatile engine (no
+/// `--wal-dir`) has none.
+fn wal_metrics(
+    wal: Option<nlq_storage::WalStatsSnapshot>,
+    log_bytes: Option<u64>,
+    recovery: Option<nlq_engine::RecoveryInfo>,
+) -> Vec<WalMetric> {
+    let mut out = Vec::new();
+    if let Some(w) = wal {
+        out.extend([
+            (
+                "wal.bytes",
+                true,
+                "Bytes appended to the write-ahead log since open",
+                w.bytes,
+            ),
+            (
+                "wal.records",
+                true,
+                "Records appended to the write-ahead log since open",
+                w.records,
+            ),
+            ("wal.fsyncs", true, "fsync calls issued", w.fsyncs),
+            (
+                "wal.checkpoints",
+                true,
+                "Checkpoints taken since open",
+                w.checkpoints,
+            ),
+        ]);
+    }
+    if let Some(b) = log_bytes {
+        out.push((
+            "wal.log_bytes",
+            false,
+            "Live write-ahead log size (drops to zero at checkpoint)",
+            b,
+        ));
+    }
+    if let Some(r) = recovery {
+        out.extend([
+            (
+                "recovery.replayed_records",
+                false,
+                "Committed WAL records re-applied at the last open",
+                r.replayed_records,
+            ),
+            (
+                "recovery.replayed_envelopes",
+                false,
+                "Committed envelopes re-applied at the last open",
+                r.replayed_envelopes,
+            ),
+            (
+                "recovery.truncated_bytes",
+                false,
+                "Torn-tail bytes discarded at the last open",
+                r.truncated_bytes,
+            ),
+            (
+                "recovery.checkpoint_tables",
+                false,
+                "Tables loaded from the checkpoint at the last open",
+                r.checkpoint_tables,
+            ),
+        ]);
+    }
+    out
+}
+
+/// The Prometheus family for a dotted metric row name: `nlq_` plus the
+/// name with dots as underscores, and `_total` on counters.
+fn prometheus_family(row: &str, counter: bool) -> String {
+    let base = format!("nlq_{}", row.replace('.', "_"));
+    if counter {
+        base + "_total"
+    } else {
+        base
+    }
+}
+
+/// Renders the durability metrics as `(name, value)` METRICS rows.
 pub fn render_wal_rows(
     wal: Option<nlq_storage::WalStatsSnapshot>,
     log_bytes: Option<u64>,
     recovery: Option<nlq_engine::RecoveryInfo>,
 ) -> Vec<Vec<Value>> {
-    let mut rows = Vec::new();
-    if let Some(w) = wal {
-        rows.push(vec![
-            Value::Str("wal.bytes".into()),
-            Value::Int(w.bytes as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("wal.records".into()),
-            Value::Int(w.records as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("wal.fsyncs".into()),
-            Value::Int(w.fsyncs as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("wal.checkpoints".into()),
-            Value::Int(w.checkpoints as i64),
-        ]);
-    }
-    if let Some(b) = log_bytes {
-        rows.push(vec![
-            Value::Str("wal.log_bytes".into()),
-            Value::Int(b as i64),
-        ]);
-    }
-    if let Some(r) = recovery {
-        rows.push(vec![
-            Value::Str("recovery.replayed_records".into()),
-            Value::Int(r.replayed_records as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("recovery.replayed_envelopes".into()),
-            Value::Int(r.replayed_envelopes as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("recovery.truncated_bytes".into()),
-            Value::Int(r.truncated_bytes as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("recovery.checkpoint_tables".into()),
-            Value::Int(r.checkpoint_tables as i64),
-        ]);
-    }
-    rows
+    wal_metrics(wal, log_bytes, recovery)
+        .into_iter()
+        .map(|(name, _, _, v)| vec![Value::Str(name.into()), Value::Int(v as i64)])
+        .collect()
 }
 
-/// Renders the durability gauges as Prometheus text exposition
-/// families (appended after the engine families by the caller). Emits
-/// nothing for a volatile engine.
+/// Renders the durability metrics as Prometheus text exposition
+/// families (appended after the engine families by the caller).
 pub fn render_wal_prometheus(
     wal: Option<nlq_storage::WalStatsSnapshot>,
     log_bytes: Option<u64>,
     recovery: Option<nlq_engine::RecoveryInfo>,
 ) -> String {
     let mut p = PromText::new();
-    if let Some(w) = wal {
-        p.family(
-            "nlq_wal_bytes_total",
-            "counter",
-            "Bytes appended to the write-ahead log since open",
-        );
-        p.sample("nlq_wal_bytes_total", &[], w.bytes as f64);
-        p.family(
-            "nlq_wal_records_total",
-            "counter",
-            "Records appended to the write-ahead log since open",
-        );
-        p.sample("nlq_wal_records_total", &[], w.records as f64);
-        p.family("nlq_wal_fsyncs_total", "counter", "fsync calls issued");
-        p.sample("nlq_wal_fsyncs_total", &[], w.fsyncs as f64);
-        p.family(
-            "nlq_checkpoints_total",
-            "counter",
-            "Checkpoints taken since open",
-        );
-        p.sample("nlq_checkpoints_total", &[], w.checkpoints as f64);
-    }
-    if let Some(b) = log_bytes {
-        p.family(
-            "nlq_wal_log_bytes",
-            "gauge",
-            "Live write-ahead log size (drops to zero at checkpoint)",
-        );
-        p.sample("nlq_wal_log_bytes", &[], b as f64);
-    }
-    if let Some(r) = recovery {
-        p.family(
-            "nlq_recovery_replayed_records",
-            "gauge",
-            "Committed WAL records re-applied at the last open",
-        );
-        p.sample(
-            "nlq_recovery_replayed_records",
-            &[],
-            r.replayed_records as f64,
-        );
-        p.family(
-            "nlq_recovery_replayed_envelopes",
-            "gauge",
-            "Committed envelopes re-applied at the last open",
-        );
-        p.sample(
-            "nlq_recovery_replayed_envelopes",
-            &[],
-            r.replayed_envelopes as f64,
-        );
-        p.family(
-            "nlq_recovery_truncated_bytes",
-            "gauge",
-            "Torn-tail bytes discarded at the last open",
-        );
-        p.sample(
-            "nlq_recovery_truncated_bytes",
-            &[],
-            r.truncated_bytes as f64,
-        );
+    for (name, counter, help, v) in wal_metrics(wal, log_bytes, recovery) {
+        let family = prometheus_family(name, counter);
+        p.family(&family, if counter { "counter" } else { "gauge" }, help);
+        p.sample(&family, &[], v as f64);
     }
     p.finish()
 }
@@ -842,9 +829,28 @@ mod tests {
         let text = render_wal_prometheus(Some(snap), Some(64), Some(info));
         nlq_obs::validate_exposition(&text).expect("valid exposition");
         assert!(text.contains("nlq_wal_fsyncs_total 2"));
-        assert!(text.contains("nlq_checkpoints_total 1"));
+        assert!(text.contains("nlq_wal_checkpoints_total 1"));
         assert!(text.contains("nlq_wal_log_bytes 64"));
         assert!(text.contains("nlq_recovery_replayed_records 7"));
+
+        // One set of names: every `wal.*`/`recovery.*` row has the
+        // Prometheus family named after it (`_total` on counters), with
+        // the same value.
+        assert_eq!(rows.len(), 9);
+        for row in &rows {
+            let name = row[0].as_str().unwrap();
+            assert!(name.starts_with("wal.") || name.starts_with("recovery."));
+            let base = format!("nlq_{}", name.replace('.', "_"));
+            let family = [base.clone() + "_total", base]
+                .into_iter()
+                .find(|f| text.contains(&format!("# TYPE {f} ")))
+                .unwrap_or_else(|| panic!("no Prometheus family for {name}:\n{text}"));
+            let value = row[1].as_i64().unwrap();
+            assert!(
+                text.lines().any(|l| l == format!("{family} {value}")),
+                "{family} does not report {value}:\n{text}"
+            );
+        }
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl Shared {
     /// counter and lag, the trace rings' eviction counts — into the
     /// metrics so `METRICS` / Prometheus scrapes and `sys.metrics`
     /// see them without holding the source locks longer than a load.
-    pub(crate) fn sync_derived_metrics(&self) {
+    fn sync_derived_metrics(&self) {
         if let Some(d) = self.daemon.lock().expect("daemon").as_ref() {
             self.metrics
                 .model_refreshes
@@ -269,6 +269,26 @@ impl Shared {
             self.traces.evicted() + self.slow_traces.evicted(),
             Ordering::Relaxed,
         );
+    }
+
+    /// Every server, engine and durability metric as `(name, value)`
+    /// rows: the `METRICS` result set, and `sys.metrics`.
+    pub(crate) fn metric_rows(&self) -> Vec<Vec<Value>> {
+        self.sync_derived_metrics();
+        let mut rows = self
+            .metrics
+            .render(self.pool.queue_depth(), self.pool.workers_busy());
+        rows.extend(crate::metrics::render_engine_rows(
+            self.db.shard_count(),
+            &self.db.shard_metrics(),
+            self.db.plan_cache_stats(),
+        ));
+        rows.extend(crate::metrics::render_wal_rows(
+            self.db.wal_stats(),
+            self.db.wal_log_bytes(),
+            self.db.recovery_info(),
+        ));
+        rows
     }
 
     /// How many folded rows the refresh daemon is behind its last
@@ -873,27 +893,11 @@ fn handle_request(request: Request, session: &mut Session, shared: &Arc<Shared>)
                 message: e.to_string(),
             },
         },
-        Request::Metrics => {
-            shared.sync_derived_metrics();
-            let mut rows = shared
-                .metrics
-                .render(shared.pool.queue_depth(), shared.pool.workers_busy());
-            rows.extend(crate::metrics::render_engine_rows(
-                shared.db.shard_count(),
-                &shared.db.shard_metrics(),
-                shared.db.plan_cache_stats(),
-            ));
-            rows.extend(crate::metrics::render_wal_rows(
-                shared.db.wal_stats(),
-                shared.db.wal_log_bytes(),
-                shared.db.recovery_info(),
-            ));
-            Response::Result {
-                columns: vec!["metric".into(), "value".into()],
-                rows,
-                stats: WireStats::default(),
-            }
-        }
+        Request::Metrics => Response::Result {
+            columns: vec!["metric".into(), "value".into()],
+            rows: shared.metric_rows(),
+            stats: WireStats::default(),
+        },
         Request::MetricsProm => {
             shared.sync_derived_metrics();
             let mut text = shared

@@ -353,17 +353,11 @@ fn wal(shared: &Arc<Shared>) -> Table {
     )
 }
 
-/// `sys.metrics`: every server and engine counter as `(metric, value)`
-/// rows — the `METRICS` result set, queryable.
+/// `sys.metrics`: every server, engine and durability metric as
+/// `(metric, value)` rows — the `METRICS` result set, queryable.
 fn metrics(shared: &Arc<Shared>) -> Table {
-    shared.sync_derived_metrics();
-    let mut rows = shared
-        .metrics
-        .render(shared.pool.queue_depth(), shared.pool.workers_busy());
-    rows.extend(crate::metrics::render_engine_rows(
-        shared.db.shard_count(),
-        &shared.db.shard_metrics(),
-        shared.db.plan_cache_stats(),
-    ));
-    build(&[("metric", DataType::Str), ("value", DataType::Int)], rows)
+    build(
+        &[("metric", DataType::Str), ("value", DataType::Int)],
+        shared.metric_rows(),
+    )
 }

@@ -872,7 +872,7 @@ fn durable_server_survives_restart_with_checkpoint_and_status_counters() {
         assert!(m.lookup("wal.fsyncs").and_then(|v| v.as_i64()).unwrap() >= 1);
         let prom = c.metrics_prometheus().unwrap();
         assert!(prom.contains("nlq_wal_bytes_total"));
-        assert!(prom.contains("nlq_checkpoints_total"));
+        assert!(prom.contains("nlq_wal_checkpoints_total"));
 
         // An explicit client checkpoint snapshots and truncates.
         c.checkpoint().unwrap();
@@ -914,6 +914,13 @@ fn durable_server_survives_restart_with_checkpoint_and_status_counters() {
             >= 1
     );
     assert_live_scrape_valid(&mut c);
+    // `sys.metrics` is the METRICS result set, durability rows included.
+    let m = c.metrics().unwrap();
+    let rs = c
+        .execute("SELECT value FROM sys.metrics WHERE metric = 'recovery.checkpoint_tables'")
+        .unwrap();
+    assert_eq!(rs.rows.len(), 1);
+    assert_eq!(m.lookup("recovery.checkpoint_tables"), Some(&rs.rows[0][0]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -34,10 +34,10 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use nlq_engine::{
-    load_checkpoint, parse, phase_spans, result_to_table, statement_is_logged, AggPartial, Db,
-    EngineError, ExecOptions, ExecStats, Expr, PlanCacheStats, Projection, RecoveryInfo, Result,
-    ResultSet, SelectStmt, ShardMetricsSnapshot, SqlEngine, Statement, SummaryRefreshState,
-    SystemTableProvider,
+    load_checkpoint, parse, phase_spans, publish_checkpoint, result_to_table, statement_is_logged,
+    AggPartial, Db, EngineError, ExecOptions, ExecStats, Expr, PlanCacheStats, Projection,
+    RecoveryInfo, Result, ResultSet, SelectStmt, ShardMetricsSnapshot, SqlEngine, Statement,
+    SummaryRefreshState, SystemTableProvider,
 };
 use nlq_models::Nlq;
 use nlq_obs::{render_spans, thread_cpu_nanos, Phase, Span};
@@ -1149,11 +1149,6 @@ impl ShardedDb {
         let _gate = ws.gate.write().expect("wal gate");
         let horizon = ws.next_eid.load(Ordering::SeqCst);
         let tmp = ws.dir.join("checkpoint.tmp");
-        let cur = ws.dir.join("checkpoint");
-        let old = ws.dir.join("checkpoint.old");
-        let ioerr = |what: &str, e: std::io::Error| {
-            EngineError::Storage(StorageError::Io(format!("checkpoint {what}: {e}")))
-        };
         let _ = std::fs::remove_dir_all(&tmp);
         let views: HashSet<String> = ws
             .view_ddl
@@ -1175,7 +1170,9 @@ impl ShardedDb {
         let mut tables = Vec::new();
         for (i, sh) in self.shards.iter().enumerate() {
             let sub = tmp.join(format!("shard-{i}"));
-            std::fs::create_dir_all(&sub).map_err(|e| ioerr("mkdir", e))?;
+            std::fs::create_dir_all(&sub).map_err(|e| {
+                EngineError::Storage(StorageError::Io(format!("checkpoint mkdir: {e}")))
+            })?;
             for name in &partitioned {
                 sh.db.save_table(name, &sub.join(format!("{name}.tbl")))?;
                 tables.push(format!("{i}/{name}"));
@@ -1194,17 +1191,7 @@ impl ShardedDb {
             tables,
             ddl,
         };
-        let mpath = tmp.join("MANIFEST");
-        std::fs::write(&mpath, manifest.encode()).map_err(|e| ioerr("manifest write", e))?;
-        std::fs::File::open(&mpath)
-            .and_then(|f| f.sync_all())
-            .map_err(|e| ioerr("manifest sync", e))?;
-        if cur.exists() {
-            let _ = std::fs::remove_dir_all(&old);
-            std::fs::rename(&cur, &old).map_err(|e| ioerr("rotate", e))?;
-        }
-        std::fs::rename(&tmp, &cur).map_err(|e| ioerr("publish", e))?;
-        let _ = std::fs::remove_dir_all(&old);
+        publish_checkpoint(&ws.dir, &manifest)?;
         for w in &ws.wals {
             w.reset()?;
         }
