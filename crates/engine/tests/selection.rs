@@ -134,10 +134,10 @@ fn filtered_aggregates_match_row_path() {
     }
 }
 
-#[test]
-fn filtered_nlq_udf_matches_row_path() {
-    let db = holey_db();
-    let sql = "SELECT nlq_list(2, 'full', X1, X2) FROM X WHERE X1 > -5 AND X2 <= 4";
+/// Runs a Γ query on the block path and on the row path and checks
+/// the unpacked statistics agree: `n`, min and max exactly, `L` and
+/// `Q` to 1e-12.
+fn gamma_block_vs_row(db: &Db, sql: &str) {
     let block = db.execute(sql).unwrap();
     assert!(block.stats.block_path, "{sql}");
     let row = db
@@ -156,6 +156,8 @@ fn filtered_nlq_udf_matches_row_path() {
     let (b, r) = (unpack(&block), unpack(&row));
     assert_eq!(b.d(), r.d());
     assert_eq!(b.n(), r.n());
+    assert_eq!(b.min(), r.min(), "{sql}");
+    assert_eq!(b.max(), r.max(), "{sql}");
     for i in 0..b.d() {
         let (x, y) = (b.l()[i], r.l()[i]);
         assert!(
@@ -167,6 +169,54 @@ fn filtered_nlq_udf_matches_row_path() {
             assert!(
                 (x - y).abs() <= 1e-12 * y.abs().max(1.0),
                 "Q[{i},{j}]: {x} vs {y}"
+            );
+        }
+    }
+}
+
+#[test]
+fn filtered_nlq_udf_matches_row_path() {
+    let db = holey_db();
+    gamma_block_vs_row(
+        &db,
+        "SELECT nlq_list(2, 'full', X1, X2) FROM X WHERE X1 > -5 AND X2 <= 4",
+    );
+}
+
+/// Γ under a `WHERE` over a table with NULL holes, at a small `d` and
+/// at `MAX_D`: the selected blocks compacted onto the dense kernels
+/// must keep exactly the rows the row interpreter keeps, in every
+/// shape.
+#[test]
+fn filtered_nlq_udf_over_nulls_matches_row_path_up_to_max_d() {
+    for d in [5, 64] {
+        let db = Db::new(2);
+        let names: Vec<String> = (1..=d).map(|a| format!("X{a}")).collect();
+        let decls: Vec<String> = names.iter().map(|c| format!("{c} FLOAT")).collect();
+        db.execute(&format!("CREATE TABLE X (i INT, {})", decls.join(", ")))
+            .unwrap();
+        let mut values = Vec::new();
+        for i in 0..2500usize {
+            let row: Vec<String> = (0..d)
+                .map(|a| {
+                    if i % 9 == 4 && a == i % d {
+                        "NULL".to_owned()
+                    } else {
+                        format!("{}", ((i * 37 + a * 11) % 101) as f64 / 7.0 - 6.5)
+                    }
+                })
+                .collect();
+            values.push(format!("({}, {})", i + 1, row.join(", ")));
+        }
+        db.execute(&format!("INSERT INTO X VALUES {}", values.join(", ")))
+            .unwrap();
+        for shape in ["diag", "triang", "full"] {
+            gamma_block_vs_row(
+                &db,
+                &format!(
+                    "SELECT nlq_list({d}, '{shape}', {}) FROM X WHERE X1 > -3 OR X2 IS NULL",
+                    names.join(", ")
+                ),
             );
         }
     }

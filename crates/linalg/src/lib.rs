@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Dense linear algebra for the `nlq` workspace.
 //!

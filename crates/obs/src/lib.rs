@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Zero-dependency observability substrate shared by the engine, the
 //! server, and the client.

@@ -39,6 +39,9 @@ pub fn pin_current_thread(cores: &[usize]) {
     }
     if any {
         // Failure leaves the thread unpinned, which is always safe.
+        // SAFETY: `set` is a live, initialized `cpu_set_t` mirror and the
+        // size passed is exactly its size, so the kernel reads only
+        // memory we own; pid 0 names the calling thread.
         unsafe { sys::sched_setaffinity(0, std::mem::size_of::<sys::CpuSet>(), &set) };
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Sharded execution engine: in-process scatter/gather over Γ
 //! partials, with a plan cache.

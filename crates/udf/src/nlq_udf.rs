@@ -83,13 +83,7 @@ impl NlqStorage {
                 }
             }
             MatrixShape::Triangular => {
-                // Slice zips keep the inner loop bounds-check free and
-                // vectorizable; only the lower triangle is touched.
-                for (a, &xa) in x.iter().enumerate() {
-                    for (qb, xb) in self.q[a][..=a].iter_mut().zip(&x[..=a]) {
-                        *qb += xa * xb;
-                    }
-                }
+                kernels::rank1_triangular(self.q.as_flattened_mut(), MAX_D, x);
             }
             MatrixShape::Full => {
                 for (a, &xa) in x.iter().enumerate() {
@@ -102,24 +96,15 @@ impl NlqStorage {
     }
 
     /// Block-at-a-time aggregation: the same update as
-    /// [`NlqStorage::accumulate_point`] over every row at once, with
-    /// each `Q` cell computed as one contiguous dot product (the
-    /// `nlq_linalg::kernels` layer). `active` is an LSB-ordered bitmap
-    /// of contributing rows (`None` = all rows; a clear bit means the
-    /// row has a NULL coordinate or failed the `WHERE` selection);
-    /// `kept` is the number of contributing rows.
-    fn accumulate_block(&mut self, cols: &[&[f64]], active: Option<&[u64]>, kept: usize) {
-        let d = self.d;
-        debug_assert_eq!(cols.len(), d);
-        self.n += kept as f64;
+    /// [`NlqStorage::accumulate_point`] over every row of a dense block
+    /// at once — one fused sum/min/max pass per column and one
+    /// register-tiled `Q` kernel (the `nlq_linalg::kernels` layer).
+    /// Every column holds the same rows, all of which contribute.
+    fn accumulate_block(&mut self, cols: &[&[f64]]) {
+        debug_assert_eq!(cols.len(), self.d);
+        self.n += cols.first().map_or(0, |c| c.len()) as f64;
         for (a, col) in cols.iter().enumerate() {
-            let (s, (lo, hi)) = match active {
-                None => (kernels::sum(col), kernels::min_max(col)),
-                Some(active) => (
-                    kernels::sum_selected(col, active),
-                    kernels::min_max_selected(col, active),
-                ),
-            };
+            let (s, lo, hi) = kernels::sum_min_max(col);
             self.l[a] += s;
             if lo < self.min[a] {
                 self.min[a] = lo;
@@ -129,19 +114,10 @@ impl NlqStorage {
             }
         }
         let q = self.q.as_flattened_mut();
-        match (self.shape, active) {
-            (MatrixShape::Diagonal, None) => kernels::block_diagonal(q, MAX_D, cols),
-            (MatrixShape::Diagonal, Some(active)) => {
-                kernels::block_diagonal_selected(q, MAX_D, cols, active);
-            }
-            (MatrixShape::Triangular, None) => kernels::block_triangular(q, MAX_D, cols),
-            (MatrixShape::Triangular, Some(active)) => {
-                kernels::block_triangular_selected(q, MAX_D, cols, active);
-            }
-            (MatrixShape::Full, None) => kernels::block_full(q, MAX_D, cols),
-            (MatrixShape::Full, Some(active)) => {
-                kernels::block_full_selected(q, MAX_D, cols, active);
-            }
+        match self.shape {
+            MatrixShape::Diagonal => kernels::block_diagonal(q, MAX_D, cols),
+            MatrixShape::Triangular => kernels::block_triangular(q, MAX_D, cols),
+            MatrixShape::Full => kernels::block_full(q, MAX_D, cols),
         }
     }
 
@@ -216,6 +192,7 @@ impl AggregateUdf for NlqUdf {
             storage: NlqStorage::new(MatrixShape::Triangular),
             style: self.style,
             shape_bound: false,
+            scratch: Vec::new(),
         })
     }
 }
@@ -225,6 +202,11 @@ struct NlqState {
     style: ParamStyle,
     /// Whether the shape argument has been seen yet (first row binds it).
     shape_bound: bool,
+    /// Reusable buffer a selected block's active rows are compacted
+    /// into, column after column, so it runs the dense kernels. It is
+    /// transient block data, not part of the paper's fixed heap struct,
+    /// so [`AggregateState::heap_bytes`] does not count it.
+    scratch: Vec<f64>,
 }
 
 /// Builds a list-style `nlq` aggregate state pre-seeded from an
@@ -258,6 +240,7 @@ pub fn seeded_nlq_state(nlq: &Nlq) -> Box<dyn AggregateState> {
         storage,
         style: ParamStyle::List,
         shape_bound: true,
+        scratch: Vec::new(),
     })
 }
 
@@ -396,14 +379,15 @@ impl AggregateState for NlqState {
             .collect();
         // A row contributes iff it passed the WHERE selection and no
         // coordinate is NULL: AND the selection words with every
-        // column's validity words. Fully dense + unfiltered blocks
-        // keep `active = None` and ride the dense kernels.
+        // column's validity words. Fully dense + unfiltered blocks run
+        // the dense kernels in place; any other block first compacts
+        // its active rows into the scratch buffer.
         let any_null = args[2..].iter().any(|a| match a {
             BatchArg::Col(c) => !block.column(*c).is_dense(),
             BatchArg::Const(_) => false,
         });
         if selection.is_none() && !any_null {
-            self.storage.accumulate_block(&cols, None, block.len());
+            self.storage.accumulate_block(&cols);
             return Ok(());
         }
         let n = block.len();
@@ -425,7 +409,15 @@ impl AggregateState for NlqState {
             }
         }
         let kept = nlq_storage::bitmap_count_ones(&active);
-        self.storage.accumulate_block(&cols, Some(&active), kept);
+        if kept == 0 {
+            return Ok(());
+        }
+        self.scratch.clear();
+        for col in &cols {
+            kernels::compact(col, &active, &mut self.scratch);
+        }
+        let packed: Vec<&[f64]> = self.scratch.chunks_exact(kept).collect();
+        self.storage.accumulate_block(&packed);
         Ok(())
     }
 
@@ -869,8 +861,14 @@ mod tests {
     }
 
     /// Builds a table of float points (with optional NULL holes) and
-    /// aggregates it through `accumulate_batch`.
-    fn run_batched(data: &[Vec<f64>], nulls: &[(usize, usize)], shape: &str) -> Value {
+    /// aggregates it through `accumulate_batch`, passing a selection
+    /// bitmap of the rows `keep` accepts when it is given.
+    fn run_batched(
+        data: &[Vec<f64>],
+        nulls: &[(usize, usize)],
+        shape: &str,
+        keep: Option<&dyn Fn(usize) -> bool>,
+    ) -> Value {
         use nlq_storage::{Schema, Table};
         let d = data[0].len();
         let mut t = Table::new(Schema::points(d, false), 1);
@@ -894,12 +892,26 @@ mod tests {
         args.extend((0..d).map(BatchArg::Col));
         let udf = NlqUdf::new(ParamStyle::List);
         let mut state = udf.init();
+        let mut start = 0;
         while let Some(block) = iter.next_block() {
+            let block = block.unwrap();
+            let selection = keep.map(|keep| {
+                let mut words = vec![0u64; nlq_storage::bitmap_words(block.len())];
+                for i in (0..block.len()).filter(|&i| keep(start + i)) {
+                    words[i / 64] |= 1 << (i % 64);
+                }
+                words
+            });
             state
-                .accumulate_batch(&block.unwrap(), &args, None)
+                .accumulate_batch(&block, &args, selection.as_deref())
                 .unwrap();
+            start += block.len();
         }
         state.finalize().unwrap()
+    }
+
+    fn unpacked(v: Value) -> Nlq {
+        unpack_nlq(v.as_str().unwrap()).unwrap()
     }
 
     #[test]
@@ -907,8 +919,8 @@ mod tests {
         // Enough rows for multiple blocks, every shape.
         let data = rows(2500, 5);
         for shape in ["diag", "triang", "full"] {
-            let batched = unpack_nlq(run_batched(&data, &[], shape).as_str().unwrap()).unwrap();
-            let rowwise = unpack_nlq(run_list(&data, shape).as_str().unwrap()).unwrap();
+            let batched = unpacked(run_batched(&data, &[], shape, None));
+            let rowwise = unpacked(run_list(&data, shape));
             assert_eq!(batched.n(), rowwise.n(), "shape {shape}");
             assert_eq!(batched.min(), rowwise.min());
             assert_eq!(batched.max(), rowwise.max());
@@ -930,7 +942,7 @@ mod tests {
     fn batched_accumulation_skips_null_rows() {
         let data = rows(40, 3);
         let nulls = [(3, 1), (17, 0), (17, 2), (39, 2)];
-        let batched = unpack_nlq(run_batched(&data, &nulls, "triang").as_str().unwrap()).unwrap();
+        let batched = unpacked(run_batched(&data, &nulls, "triang", None));
         // Row-wise reference over the same data with the NULL rows
         // (3, 17, 39) removed entirely.
         let kept: Vec<Vec<f64>> = data
@@ -948,6 +960,71 @@ mod tests {
             for b in 0..=a {
                 assert!((batched.q_raw()[(a, b)] - expect.q_raw()[(a, b)]).abs() < 1e-9);
             }
+        }
+    }
+
+    /// An all-active selection compacts every row and so gives the
+    /// dense path's exact bits; a partial selection gives the bits of
+    /// the dense path over the kept rows alone.
+    #[test]
+    fn selected_blocks_match_dense_blocks_exactly() {
+        use nlq_storage::BLOCK_ROWS;
+        let data = rows(2500, 6);
+        for shape in ["diag", "triang", "full"] {
+            let dense = run_batched(&data, &[], shape, None);
+            let all = run_batched(&data, &[], shape, Some(&|_| true));
+            assert_eq!(all, dense, "shape {shape}");
+
+            // Dropping the whole first block leaves the other blocks,
+            // and so their sums, exactly as a table without those rows.
+            let keep = |i: usize| i >= BLOCK_ROWS;
+            let selected = run_batched(&data, &[], shape, Some(&keep));
+            let tail = run_batched(&data[BLOCK_ROWS..], &[], shape, None);
+            assert_eq!(selected, tail, "shape {shape}");
+        }
+    }
+
+    /// NaN and ±∞ in the columns: the row path and the block path give
+    /// the same extrema (NaN never becomes one) and propagate NaN and
+    /// infinities into the same `L` and `Q` cells.
+    #[test]
+    fn special_values_agree_between_row_and_block_paths() {
+        let mut data: Vec<Vec<f64>> = (0..300)
+            .map(|i| {
+                (0..4)
+                    .map(|a| ((i * 4 + a) % 23) as f64 * 0.25 + 1.0)
+                    .collect()
+            })
+            .collect();
+        data[5][0] = f64::NAN;
+        data[17][1] = f64::INFINITY;
+        data[130][2] = f64::NEG_INFINITY;
+        data[299][2] = f64::INFINITY;
+        data[0][3] = f64::NEG_INFINITY;
+        let same = |x: f64, y: f64| {
+            (x.is_nan() && y.is_nan()) || x == y || (x - y).abs() <= 1e-12 * y.abs().max(1.0)
+        };
+        for shape in ["diag", "triang", "full"] {
+            let by_row = unpacked(run_list(&data, shape));
+            let by_block = unpacked(run_batched(&data, &[], shape, None));
+            assert_eq!(by_row.n(), by_block.n());
+            assert_eq!(by_row.min(), by_block.min(), "min, shape {shape}");
+            assert_eq!(by_row.max(), by_block.max(), "max, shape {shape}");
+            assert_eq!(by_row.min()[1], 1.0, "NaN-free min beside ∞");
+            assert_eq!(by_row.max()[2], f64::INFINITY);
+            assert!(!by_row.min()[0].is_nan() && !by_row.max()[0].is_nan());
+            for a in 0..4 {
+                let (x, y) = (by_block.l()[a], by_row.l()[a]);
+                assert!(same(x, y), "L[{a}] {shape}: {x} vs {y}");
+                for b in 0..4 {
+                    let (x, y) = (by_block.q_raw()[(a, b)], by_row.q_raw()[(a, b)]);
+                    assert!(same(x, y), "Q[{a}][{b}] {shape}: {x} vs {y}");
+                }
+            }
+            assert!(by_block.l()[0].is_nan() && by_block.l()[2].is_nan());
+            assert_eq!(by_block.l()[1], f64::INFINITY);
+            assert!(by_block.q_raw()[(0, 0)].is_nan());
+            assert_eq!(by_block.q_raw()[(1, 1)], f64::INFINITY);
         }
     }
 
